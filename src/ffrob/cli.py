@@ -71,7 +71,15 @@ _COMMANDS = {
     "probe": "flags",
 }
 
-_PROBE_FLAGS = {"--count", "--seed", "--max-degree", "--max-terms", "--max-generators", "--emax"}
+# probe flag -> least accepted value (None: any integer)
+_PROBE_FLAGS = {
+    "--count": 0,
+    "--seed": None,
+    "--max-degree": 0,
+    "--max-terms": 1,
+    "--max-generators": 1,
+    "--emax": 1,
+}
 
 
 @dataclass
@@ -117,6 +125,8 @@ def parse_session(text: str) -> SessionSpec:
             except FFrobError as exc:
                 raise ParseError(str(exc), lineno) from exc
             names = tuple(n for n in m.group(2).split(",") if n)
+            if len(set(names)) != len(names):
+                raise ParseError(f"duplicate variable names in {line!r}", lineno)
             try:
                 plain = QuotientRing(fieldspec, names)
                 qgens = [
@@ -176,7 +186,10 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
                 raise ParseError(f"invalid flag {rest[i]!r} for {name}", lineno)
             if i + 1 >= len(rest) or not re.fullmatch(r"-?\d+", rest[i + 1]):
                 raise ParseError(f"flag {rest[i]} needs an integer value", lineno)
-            flags[rest[i].lstrip("-").replace("-", "_")] = int(rest[i + 1])
+            value, least = int(rest[i + 1]), _PROBE_FLAGS[rest[i]]
+            if least is not None and value < least:
+                raise ParseError(f"flag {rest[i]} must be at least {least}, got {value}", lineno)
+            flags[rest[i].lstrip("-").replace("-", "_")] = value
             i += 2
         return Command(lineno, name, [], flags)
     args = []
@@ -324,6 +337,9 @@ def main(argv=None) -> int:
     try:
         with open(ns.session, encoding="utf-8") as fh:
             text = fh.read()
+        for flag, value in (("--count", ns.count), ("--emax", ns.emax)):
+            if value < 0:
+                raise ParseError(f"{flag} must be at least 0, got {value}")
         spec = parse_session(text)
         overrides = {"seed": ns.seed, "count": ns.count, "emax": ns.emax}
         reports, code = run_session(spec, overrides)

@@ -8,7 +8,18 @@ ties by pair creation index) so the computation is fully deterministic.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .poly import MonomialOrder, Polynomial, PolyRing
+
+# Reduced bases of the most recent distinct inputs, least recently used
+# first.  The probe's repeats are local (two checks on one (I, x, e)
+# build the same auxiliary-variable ideals back to back), so a few
+# entries catch nearly all of them; an unbounded memo also holds every
+# large basis a long run ever computed.  One memo per process, with no
+# lock: nothing in the package runs concurrently.
+_MEMO_CAPACITY = 8
+_memo = OrderedDict()
 
 
 def _divides(a, b) -> bool:
@@ -114,6 +125,11 @@ def buchberger(gens, order: MonomialOrder | None = None):
     If order is given, generators are first converted to a ring with that
     order.  Output is monic, inter-reduced, and sorted by descending
     leading monomial — the canonical form used for ideal equality.
+
+    The basis of a recent input with the same ring and the same set of
+    generators is served from a small memo; the reduced basis is unique,
+    so the answer does not depend on whether it was cached.  Every call
+    returns a fresh list.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -122,7 +138,21 @@ def buchberger(gens, order: MonomialOrder | None = None):
     if order is not None and order != ring.order:
         ring = ring.with_order(order)
         gens = [g.convert(ring) for g in gens]
+    key = (ring, frozenset(g.terms for g in gens))
+    basis = _memo.get(key)
+    if basis is None:
+        basis = _buchberger_core(gens)
+        _memo[key] = basis
+        if len(_memo) > _MEMO_CAPACITY:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(key)
+    return list(basis)
 
+
+def _buchberger_core(gens):
+    """Reduced Groebner basis of nonzero generators of one ring, in the
+    order given; no memo."""
     G = []
     for g in gens:
         h = normal_form(g, G)

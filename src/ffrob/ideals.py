@@ -10,8 +10,6 @@ equality.
 
 from __future__ import annotations
 
-import threading
-
 from .errors import FFrobError, RingMismatchError
 from .field import PrimeField
 from .groebner import buchberger, normal_form, poly_divexact, poly_ideal_intersect
@@ -88,8 +86,7 @@ class Ideal:
     """An ideal of a QuotientRing, presented by lift generators.
 
     The canonical form is the reduced Groebner basis of (gens + Q) in
-    the ambient ring, computed lazily and cached; the cache fill is
-    guarded by a lock so concurrent first access is safe.
+    the ambient ring, computed lazily and cached.
     """
 
     def __init__(self, ring: QuotientRing, gens):
@@ -104,15 +101,12 @@ class Ideal:
                 converted.append(g)
         self.gens = tuple(converted)
         self._gb = None
-        self._lock = threading.Lock()
 
     @property
     def groebner(self):
         """Reduced Groebner basis of the lift (generators plus Q)."""
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    self._gb = buchberger(list(self.gens) + list(self.ring.quotient_gens))
+            self._gb = buchberger(list(self.gens) + list(self.ring.quotient_gens))
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:

@@ -242,14 +242,17 @@ class Polynomial:
         """f^(p^e): scale every exponent by p^e, coefficients fixed (c^p = c)."""
         if e < 0:
             raise ValueError("Frobenius exponent must be nonnegative")
-        q = self.ring.field.p**e
+        p = self.ring.field.p
+        # a nonzero exponent times p^32 is already at least 2^32, so capping
+        # e at 32 changes no result and never builds a huge p^e
+        q = p ** min(e, 32)
         out = []
         for m, c in self.terms:
             nm = tuple(a * q for a in m)
             for x in nm:
                 if x >= EXP_LIMIT:
                     raise ExponentOverflowError(
-                        f"exponent {x} exceeds 2^32 in Frobenius power e={e}"
+                        f"exponent {max(m)} * {p}^{e} exceeds 2^32 in Frobenius power"
                     )
             out.append((nm, c))
         return Polynomial(self.ring, tuple(out))

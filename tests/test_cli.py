@@ -67,6 +67,11 @@ def test_parse_session_dual_numbers():
         ("ring p=2 vars=x\nprobe --bogus 3\n", "invalid flag"),
         ("ring p=2 vars=x\nring p=3 vars=y\n", "duplicate ring"),
         ("ring p=2 vars=x\nfrobboot\n", "unknown command"),
+        ("ring p=2 vars=x,x\n", "duplicate variable names"),
+        ("ring p=2 vars=x\nprobe --count -5\n", "--count must be at least 0"),
+        ("ring p=2 vars=x\nprobe --emax 0\n", "--emax must be at least 1"),
+        ("ring p=2 vars=x\nprobe --max-terms 0\n", "--max-terms must be at least 1"),
+        ("ring p=2 vars=x\nprobe --max-generators 0\n", "--max-generators must be at least 1"),
     ],
 )
 def test_parse_session_errors_carry_line_numbers(text, fragment):
@@ -110,6 +115,21 @@ def test_cli_corpus_exit_codes():
     missing = _run_cli(["no-such-session.ffor"])
     assert missing.returncode == 1
     assert "error" in missing.stderr
+
+
+def test_cli_oversized_bracket_exponent_is_an_error(tmp_path):
+    session = tmp_path / "big.ffor"
+    session.write_text("ring p=2 vars=x,y\nideal I = [x^2+y]\nbracket I 20000\n")
+    out = _run_cli([str(session)])
+    assert out.returncode == 1
+    assert out.stderr.startswith("ffor: error:")
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_negative_default_count_is_an_error():
+    out = _run_cli([str(SESSIONS / "polyring.ffor"), "--count", "-5"])
+    assert out.returncode == 1
+    assert out.stderr.startswith("ffor: error: --count must be at least 0")
 
 
 def test_cli_json_deterministic():

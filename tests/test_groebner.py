@@ -1,8 +1,11 @@
 import itertools
+from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffrob import groebner
 from ffrob import (
     MonomialOrder,
     PolyRing,
@@ -126,3 +129,76 @@ def test_intersection_contains_products(picks):
     # a visible common element must land in the intersection
     common = A[0] * B[0]
     assert normal_form(common, buchberger(meet)).is_zero
+
+
+R3 = PolyRing(PrimeField(3), ("x", "y", "z"))
+_TERM = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 2))
+_POLY = st.lists(_TERM, min_size=1, max_size=3).map(lambda ts: R3.poly(dict(ts)))
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty memo for one test, with the process's memo restored after."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(groebner, "_memo", fresh)
+    return fresh
+
+
+@pytest.fixture
+def core_calls(memo, monkeypatch):
+    """The inputs of every uncached Buchberger run during one test."""
+    calls = []
+    core = groebner._buchberger_core
+
+    def counting_core(gens):
+        calls.append(gens)
+        return core(gens)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", counting_core)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_POLY, min_size=1, max_size=3), st.data())
+def test_memo_matches_core_under_shuffle_and_duplicates(gens, data):
+    extra = data.draw(st.lists(st.sampled_from(gens), max_size=2))
+    presented = data.draw(st.permutations(gens + extra))
+    reference = groebner._buchberger_core(gens)
+    assert buchberger(gens) == reference
+    assert buchberger(presented) == reference  # served from the memo
+    lex = R3.with_order(MonomialOrder.lex())
+    lex_reference = groebner._buchberger_core([g.convert(lex) for g in gens])
+    assert buchberger(presented, order=MonomialOrder.lex()) == lex_reference
+
+
+def test_memo_returns_a_fresh_list(memo):
+    x, y = R.variable(0), R.variable(1)
+    first = buchberger([x * x + y, x * y])
+    expected = list(first)
+    first.reverse()
+    first.append(x)
+    assert buchberger([x * x + y, x * y]) == expected
+
+
+def test_repeated_input_does_not_run_the_core(core_calls):
+    x, y = R.variable(0), R.variable(1)
+    gens = [x * x + y, x * y]
+    first = buchberger(gens)
+    assert buchberger(list(reversed(gens)) + gens) == first
+    assert len(core_calls) == 1
+
+
+def test_memo_is_bounded_and_evicts_least_recently_used(memo, core_calls):
+    x, y = R.variable(0), R.variable(1)
+    inputs = [[x.mul_term(1, (k, 0)) + y] for k in range(1, 11)]
+    for gens in inputs[:8]:
+        buchberger(gens)
+    buchberger(inputs[0])  # a hit, which makes it the most recently used
+    assert len(core_calls) == 8
+    for gens in inputs[8:]:
+        buchberger(gens)
+    assert len(memo) == groebner._MEMO_CAPACITY == 8
+    buchberger(inputs[0])  # still held
+    assert len(core_calls) == 10
+    buchberger(inputs[1])  # evicted first
+    assert len(core_calls) == 11

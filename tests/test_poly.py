@@ -105,6 +105,9 @@ def test_exponent_overflow():
     big = x.mul_term(1, (2**31, 0))
     with pytest.raises(ExponentOverflowError):
         big.frobenius_power(1)
+    with pytest.raises(ExponentOverflowError):
+        x.frobenius_power(20000)  # p^e itself has 6,000 digits
+    assert R2.constant(1).frobenius_power(20000) == R2.constant(1)
 
 
 def test_render_canonical_form():
