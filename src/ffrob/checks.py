@@ -10,13 +10,14 @@ exactly one side — a certificate of non-regularity (for reduced rings).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from .frobenius import bracket_power, is_reduced
 from .ideals import Ideal, QuotientRing
-from .poly import Polynomial
+from .poly import Polynomial, PolyRing
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
 PRINCIPAL_INTERSECTION = "PRINCIPAL_INTERSECTION"
@@ -211,20 +212,27 @@ def _rng(config: SamplerConfig, position: int, tag: str) -> random.Random:
     return random.Random(f"{config.seed}:{position}:{tag}")
 
 
-def _monomial_pool(ring: QuotientRing, max_degree: int):
-    S = ring.ambient
+# Monomial pools of the most recent (ambient ring, degree) pairs; a probe
+# asks for the same one twice per trial.
+_POOL_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _monomial_pool(S: PolyRing, max_degree: int) -> tuple:
+    """Monomials of S of degree at most max_degree in ascending monomial
+    order; the sampler draws from them by position."""
     pool = [
         exps
         for exps in itertools.product(range(max_degree + 1), repeat=S.nvars)
         if sum(exps) <= max_degree
     ]
-    pool.sort(key=S.order.key)
-    return pool
+    pool.sort(key=S.order.key, reverse=True)
+    return tuple(pool)
 
 
 def sample_polynomial(ring: QuotientRing, config: SamplerConfig, position: int, tag: str = "elem") -> Polynomial:
     rng = _rng(config, position, tag)
-    pool = _monomial_pool(ring, config.max_degree)
+    pool = _monomial_pool(ring.ambient, config.max_degree)
     p = ring.field.p
     nterms = rng.randint(1, config.max_terms)
     acc = {}
@@ -236,7 +244,7 @@ def sample_polynomial(ring: QuotientRing, config: SamplerConfig, position: int, 
 
 def sample_ideal(ring: QuotientRing, config: SamplerConfig, position: int, tag: str = "ideal") -> Ideal:
     rng = _rng(config, position, tag)
-    pool = _monomial_pool(ring, config.max_degree)
+    pool = _monomial_pool(ring.ambient, config.max_degree)
     p = ring.field.p
     gens = []
     for g in range(rng.randint(1, config.max_generators)):

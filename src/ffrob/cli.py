@@ -34,6 +34,7 @@ from .checks import (
 from .errors import FFrobError, ParseError
 from .frobenius import (
     bracket_power,
+    closure_search_bound,
     frobenius_closure_test,
     frobenius_kernel_preimage,
     frobenius_root,
@@ -254,7 +255,7 @@ def run_command(spec: SessionSpec, cmd: Command, overrides: dict) -> dict:
         out["result"] = is_reduced(ring)
     elif name == "fclosure":
         x, I = args[0], args[1]
-        bound = args[2] if len(args) > 2 else emax
+        bound = closure_search_bound(x, I, args[2] if len(args) > 2 else emax)
         hit, e = frobenius_closure_test(x, I, bound)
         out["result"] = hit
         out["e"] = e

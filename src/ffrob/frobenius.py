@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import RingMismatchError, UnsupportedOperationError
 from .groebner import elimination_ideal
 from .ideals import Ideal, QuotientRing
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import EXP_LIMIT, MonomialOrder, Polynomial, PolyRing
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -120,17 +120,34 @@ def is_reduced(ring: QuotientRing) -> bool:
     return frobenius_kernel_preimage(J) == J
 
 
+def closure_search_bound(x: Polynomial, I: Ideal, e_max: int) -> int:
+    """The largest e ≤ e_max at which x^(p^e) and every generator of
+    I^[p^e] keep all exponents below 2^32: the last exponent that
+    frobenius_closure_test searches."""
+    if e_max < 0:
+        raise ValueError("e_max must be nonnegative")
+    top = max(
+        (max(m, default=0) for f in (x, *I.gens) for m, _ in f.terms), default=0
+    )
+    if top == 0:
+        return e_max
+    p = x.ring.field.p
+    e = 0
+    while e < e_max and top * p ** (e + 1) < EXP_LIMIT:
+        e += 1
+    return e
+
+
 def frobenius_closure_test(x: Polynomial, I: Ideal, e_max: int):
     """Least e ≤ e_max with x^(p^e) ∈ I^[p^e], if any.
 
     Returns (True, e) at the first witness, (False, None) otherwise.
-    A miss is conclusive only up to the bound: x may still lie in the
-    Frobenius closure via some larger exponent."""
+    Exponents past closure_search_bound are not searched.  A miss is
+    conclusive only up to that bound: x may still lie in the Frobenius
+    closure via some larger exponent."""
     if x.ring != I.ring.ambient:
         raise RingMismatchError("element lives in a different ring")
-    if e_max < 0:
-        raise ValueError("e_max must be nonnegative")
-    for e in range(e_max + 1):
+    for e in range(closure_search_bound(x, I, e_max) + 1):
         if bracket_power(I, e).contains(x.frobenius_power(e)):
             return True, e
     return False, None
@@ -158,7 +175,7 @@ def _closure_candidates(ring: QuotientRing, degree_bound: int):
     for exps in itertools.product(range(degree_bound + 1), repeat=S.nvars):
         if 0 < sum(exps) <= degree_bound:
             monos.append(exps)
-    monos.sort(key=S.order.key)
+    monos.sort(key=S.order.key, reverse=True)
     p = ring.field.p
     if p ** len(monos) <= _ENUM_CAP:
         for coeffs in itertools.product(range(p), repeat=len(monos)):

@@ -4,11 +4,21 @@ The reduced Groebner basis under a fixed order is the unique canonical
 form of an ideal; every ideal-level equality test in the package bottoms
 out here.  Pair selection is the normal strategy (minimal lcm degree,
 ties by pair creation index) so the computation is fully deterministic.
+
+Division keeps its working terms in a heap ordered by the monomial
+order's key (Johnson 1974; Monagan & Pearce 2011), so each term's key is
+computed once per division, when the term enters the working set.  A
+term that cancels keeps its heap entry, with coefficient 0, and is
+skipped when popped; every term a reduction step adds is smaller than
+the one being reduced, so a monomial never comes back once popped.  S-pairs wait in a
+heap of (lcm degree, creation index), the same order as the normal
+strategy above.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heapify, heappop, heappush
 
 from .poly import MonomialOrder, Polynomial, PolyRing
 
@@ -47,28 +57,36 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     field = ring.field
     key = ring.order.key
     p = field.p
-    heads = [(g.leading_monomial, field.inv(g.leading_coeff), g.terms) for g in basis]
+    heads = [
+        (g.leading_monomial, field.inv(g.leading_coeff), g.terms[1:]) for g in basis
+    ]
+    # every monomial of work has one heap entry; a cancelled term stays in
+    # work with coefficient 0 until it is popped
     work = dict(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     out = {}
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        for lm, lcinv, gterms in heads:
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m)
+        if not c:
+            continue
+        for lm, lcinv, tail in heads:
             if _divides(lm, m):
                 fc = c * lcinv % p
                 shift = tuple(x - y for x, y in zip(m, lm))
-                for gm, gc in gterms:
+                for gm, gc in tail:
                     t = tuple(x + y for x, y in zip(gm, shift))
-                    v = (work.get(t, 0) - fc * gc) % p
-                    if v:
-                        work[t] = v
-                    else:
-                        work.pop(t, None)
+                    v = work.get(t)
+                    if v is None:
+                        heappush(heap, (key(t), t))
+                        v = 0
+                    work[t] = (v - fc * gc) % p
                 break
         else:
             out[m] = c
-            del work[m]
-    return ring.poly(out)
+    # terms left the heap largest first, so out is already in canonical order
+    return Polynomial(ring, tuple(out.items()))
 
 
 def poly_divmod(f: Polynomial, g: Polynomial):
@@ -79,26 +97,32 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     p = field.p
     key = ring.order.key
     lm, lcinv = g.leading_monomial, field.inv(g.leading_coeff)
-    work = dict(f.terms)
-    quot = {}
-    rem = {}
-    while work:
-        m = max(work, key=key)
+    tail = g.terms[1:]
+    work = dict(f.terms)  # as in normal_form: one heap entry per monomial
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    quot = []
+    rem = []
+    while heap:
+        m = heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         if _divides(lm, m):
             fc = c * lcinv % p
             shift = tuple(x - y for x, y in zip(m, lm))
-            quot[shift] = (quot.get(shift, 0) + fc) % p
-            for gm, gc in g.terms[1:]:
+            quot.append((shift, fc))
+            for gm, gc in tail:
                 t = tuple(x + y for x, y in zip(gm, shift))
-                v = (work.get(t, 0) - fc * gc) % p
-                if v:
-                    work[t] = v
-                else:
-                    work.pop(t, None)
+                v = work.get(t)
+                if v is None:
+                    heappush(heap, (key(t), t))
+                    v = 0
+                work[t] = (v - fc * gc) % p
         else:
-            rem[m] = c
-    return ring.poly(quot), ring.poly(rem)
+            rem.append((m, c))
+    # m runs strictly downwards, and so does m / lm(g): both lists are canonical
+    return Polynomial(ring, tuple(quot)), Polynomial(ring, tuple(rem))
 
 
 def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -158,7 +182,8 @@ def _buchberger_core(gens):
         h = normal_form(g, G)
         if not h.is_zero:
             G.append(h.monic())
-    pairs = {}
+    # normal strategy: smallest lcm degree first, ties by creation order
+    pairs = []
     serial = 0
     treated = set()
 
@@ -166,15 +191,14 @@ def _buchberger_core(gens):
         nonlocal serial
         for i in range(j):
             lcm = _lcm(G[i].leading_monomial, G[j].leading_monomial)
-            pairs[(i, j)] = (sum(lcm), serial)
+            heappush(pairs, (sum(lcm), serial, i, j))
             serial += 1
 
     for j in range(len(G)):
         add_pairs(j)
 
     while pairs:
-        (i, j) = min(pairs, key=lambda ij: pairs[ij])
-        del pairs[(i, j)]
+        _, _, i, j = heappop(pairs)
         treated.add((i, j))
         lmi, lmj = G[i].leading_monomial, G[j].leading_monomial
         if _coprime(lmi, lmj):
@@ -206,7 +230,7 @@ def _reduce_basis(G):
     ring = G[0].ring
     key = ring.order.key
     # drop generators whose leading monomial is divisible by another's
-    G = sorted(G, key=lambda g: key(g.leading_monomial))
+    G = sorted(G, key=lambda g: key(g.leading_monomial), reverse=True)
     minimal = []
     for idx, g in enumerate(G):
         lm = g.leading_monomial
@@ -222,7 +246,7 @@ def _reduce_basis(G):
     for i in range(len(reduced)):
         others = reduced[:i] + reduced[i + 1 :]
         reduced[i] = normal_form(reduced[i], others).monic()
-    reduced.sort(key=lambda g: key(g.leading_monomial), reverse=True)
+    reduced.sort(key=lambda g: key(g.leading_monomial))
     return reduced
 
 

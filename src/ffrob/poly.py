@@ -24,7 +24,9 @@ class MonomialOrder:
 
     block(k) compares the first k exponents lexicographically and breaks
     ties by grevlex on the remaining variables, so it eliminates the
-    first k variables.  Keys sort ascending: bigger monomial, bigger key.
+    first k variables.  Keys run the other way from the order: a bigger
+    monomial has a smaller key, so an ascending sort or a min-heap of keys
+    yields monomials in descending order.
     """
 
     __slots__ = ("kind", "nblock")
@@ -51,11 +53,11 @@ class MonomialOrder:
 
     def key(self, exps):
         if self.kind == LEX:
-            return exps
+            return tuple(-e for e in exps)
         if self.kind == GREVLEX:
             return _grevlex_key(exps)
         k = self.nblock
-        return (exps[:k], _grevlex_key(exps[k:]))
+        return (tuple(-e for e in exps[:k]), _grevlex_key(exps[k:]))
 
     def __eq__(self, other):
         return (
@@ -75,8 +77,9 @@ class MonomialOrder:
 
 def _grevlex_key(exps):
     # a > b iff deg a > deg b, or degrees tie and the last nonzero entry
-    # of a - b is negative; negating the reversed tuple encodes exactly that.
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    # of a - b is negative: a has the smaller negated degree, then the
+    # smaller reversed tuple.
+    return (-sum(exps), exps[::-1])
 
 
 class PolyRing:
@@ -104,9 +107,7 @@ class PolyRing:
             c %= p
             if c:
                 cleaned[tuple(exps)] = c
-        terms = tuple(
-            (m, cleaned[m]) for m in sorted(cleaned, key=self.order.key, reverse=True)
-        )
+        terms = tuple((m, cleaned[m]) for m in sorted(cleaned, key=self.order.key))
         return Polynomial(self, terms)
 
     def zero(self) -> "Polynomial":

@@ -130,3 +130,98 @@ def mono_ideal_contains(gens, m) -> bool:
 
 def mono_ideal_subset(gens_a, gens_b) -> bool:
     return all(mono_ideal_contains(gens_b, g) for g in gens_a)
+
+
+def order_key(order, m):
+    """Sort key under which a bigger monomial has a bigger key, written
+    out from the definitions of lex, grevlex and block(k) rather than
+    taken from ffrob.poly."""
+
+    def grevlex(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    if order.kind == "lex":
+        return tuple(m)
+    if order.kind == "grevlex":
+        return grevlex(m)
+    k = order.nblock
+    return (tuple(m[:k]), grevlex(m[k:]))
+
+
+def _shifted(m, lm, gm):
+    return tuple(a - b + c for a, b, c in zip(m, lm, gm))
+
+
+def reference_normal_form(f, basis, p: int, order, reappeared=None):
+    """Remainder of f on division by the basis, reducing the largest
+    remaining term by the first basis element whose leading monomial
+    divides it: the plain `max`-driven loop.  Polynomials are
+    {exponent-tuple: coeff} dicts.  Monomials that cancel and later come
+    back into the working set are added to `reappeared` if one is given.
+    """
+
+    def key(m):
+        return order_key(order, m)
+
+    heads = []
+    for g in basis:
+        if g:
+            lm = max(g, key=key)
+            heads.append((lm, pow(g[lm], p - 2, p), g))
+    work = {m: c % p for m, c in f.items() if c % p}
+    cancelled = set()
+    out = {}
+    while work:
+        m = max(work, key=key)
+        c = work[m]
+        for lm, lcinv, g in heads:
+            if _mono_divides(lm, m):
+                fc = c * lcinv % p
+                for gm, gc in g.items():
+                    t = _shifted(m, lm, gm)
+                    v = (work.get(t, 0) - fc * gc) % p
+                    if v:
+                        if reappeared is not None and t not in work and t in cancelled:
+                            reappeared.add(t)
+                        work[t] = v
+                    else:
+                        work.pop(t, None)
+                        if t != m:
+                            cancelled.add(t)
+                break
+        else:
+            out[m] = c
+            del work[m]
+    return out
+
+
+def reference_divmod(f, g, p: int, order):
+    """(quotient, remainder) dicts of f by the single divisor g, by the
+    same `max`-driven loop."""
+
+    def key(m):
+        return order_key(order, m)
+
+    lm = max(g, key=key)
+    lcinv = pow(g[lm], p - 2, p)
+    work = {m: c % p for m, c in f.items() if c % p}
+    quot, rem = {}, {}
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        if _mono_divides(lm, m):
+            fc = c * lcinv % p
+            shift = tuple(a - b for a, b in zip(m, lm))
+            quot[shift] = (quot.get(shift, 0) + fc) % p
+            for gm, gc in g.items():
+                if gm == lm:
+                    continue
+                t = _shifted(m, lm, gm)
+                v = (work.get(t, 0) - fc * gc) % p
+                if v:
+                    work[t] = v
+                else:
+                    work.pop(t, None)
+        else:
+            rem[m] = c
+    return quot, rem

@@ -25,6 +25,7 @@ from ffrob.checks import (
     REGULAR,
     SINGULAR,
     UNSUPPORTED,
+    _monomial_pool,
 )
 
 from oracles import CuspSemigroup
@@ -186,6 +187,25 @@ def test_sampler_shapes():
         for g in I.gens:
             assert len(g.terms) == 1
             assert g.total_degree() <= 2
+
+
+def test_monomial_pool_is_in_ascending_monomial_order():
+    # the sampler draws pool entries by position, so this order fixes its inputs
+    pool = _monomial_pool(make_ring(2, ("x", "y", "z")).ambient, 3)
+    assert len(pool) == 20
+    assert pool[:6] == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 1, 1))
+    assert pool[-6:] == ((1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
+
+
+def test_monomial_pool_is_built_once_per_ring_and_degree():
+    cfg = SamplerConfig(seed=3, max_degree=6)
+    first = sample_ideal(make_ring(7, ("u", "v", "w")), cfg, 0)
+    built = _monomial_pool.cache_info()
+    # an equal ring built again shares the pool
+    assert sample_ideal(make_ring(7, ("u", "v", "w")), cfg, 0) == first
+    again = _monomial_pool.cache_info()
+    assert again.misses == built.misses
+    assert again.hits == built.hits + 1
 
 
 def test_probe_polynomial_ring_finds_nothing():

@@ -8,7 +8,9 @@ import pytest
 from ffrob import ParseError, PolyRing, PrimeField, parse_polynomial
 from ffrob.cli import parse_session, run_session
 
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+ROOT = Path(__file__).resolve().parent.parent
+SESSIONS = ROOT / "sessions"
+EXPECTED = ROOT / "perfbench" / "expected"
 
 F5 = PrimeField(5)
 R5 = PolyRing(F5, ("x", "y"))
@@ -130,6 +132,29 @@ def test_cli_negative_default_count_is_an_error():
     out = _run_cli([str(SESSIONS / "polyring.ffor"), "--count", "-5"])
     assert out.returncode == 1
     assert out.stderr.startswith("ffor: error: --count must be at least 0")
+
+
+def test_cli_fclosure_stops_at_largest_fitting_exponent(tmp_path):
+    # x^2 raised to 2^31 would need exponent 2^32, so e = 30 is the last
+    # exponent searched, and the report says so
+    session = tmp_path / "fclosure.ffor"
+    session.write_text("ring p=2 vars=x,y\nideal I = [x^2]\nelem u = y\nfclosure u I 40\n")
+    out = _run_cli([str(session), "--json"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [
+        {"command": "fclosure", "result": False, "e": None, "e_max": 30}
+    ]
+
+
+@pytest.mark.parametrize("session", sorted(p.stem for p in SESSIONS.glob("*.ffor")))
+def test_cli_corpus_json_is_byte_identical_to_recording(session):
+    exit_codes = json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))
+    out = subprocess.run(
+        [sys.executable, "-m", "ffrob.cli", str(SESSIONS / f"{session}.ffor"), "--json"],
+        capture_output=True,
+    )
+    assert out.returncode == exit_codes[session]
+    assert out.stdout == (EXPECTED / f"{session}.json").read_bytes()
 
 
 def test_cli_json_deterministic():

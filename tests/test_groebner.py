@@ -16,8 +16,9 @@ from ffrob import (
     normal_form,
     poly_ideal_intersect,
 )
+from ffrob.groebner import poly_divmod
 
-from oracles import span_membership
+from oracles import reference_divmod, reference_normal_form, span_membership
 
 F2 = PrimeField(2)
 R = PolyRing(F2, ("x", "y"))
@@ -202,3 +203,62 @@ def test_memo_is_bounded_and_evicts_least_recently_used(memo, core_calls):
     assert len(core_calls) == 10
     buchberger(inputs[1])  # evicted first
     assert len(core_calls) == 11
+
+
+# --- heap-driven division against the plain max-driven loop --------------
+
+DIVISION_ORDERS = [
+    MonomialOrder.lex(),
+    MonomialOrder.grevlex(),
+    MonomialOrder.block(1),
+    MonomialOrder.block(2),
+]
+_DIV_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(1, 4), min_size=1, max_size=5
+)
+
+# In F_2[x,y] under grevlex, dividing x^3*y^2 + x*y^2 by x^2 + x + 1 cancels
+# x*y^2 at the first step and brings it back at the second.  Under lex, the
+# same happens to x*y^3 when x^3*y^2 + 2*x*y^3 is divided by
+# x^2*y + 2*x*y^2 + 2*x*y over F_3.
+REAPPEARING = [
+    (2, MonomialOrder.grevlex(), {(3, 2): 1, (1, 2): 1}, {(2, 0): 1, (1, 0): 1, (0, 0): 1}),
+    (3, MonomialOrder.lex(), {(3, 2): 1, (1, 3): 2}, {(2, 1): 1, (1, 2): 2, (1, 1): 2}),
+]
+
+
+def _check_division(p, order, f, basis):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z")[: len(next(iter(f)))], order)
+    fp = ring.poly(f)
+    gs = [ring.poly(g) for g in basis]
+    ref = reference_normal_form(dict(fp.terms), [dict(g.terms) for g in gs], p, order)
+    want = ring.poly(ref)
+    # equal term tuples: same terms, same coefficients, same canonical order
+    assert normal_form(fp, gs).terms == want.terms
+    for g in gs:
+        if g.is_zero:
+            continue
+        q, r = poly_divmod(fp, g)
+        ref_q, ref_r = reference_divmod(dict(fp.terms), dict(g.terms), p, order)
+        assert q.terms == ring.poly(ref_q).terms
+        assert r.terms == ring.poly(ref_r).terms
+        assert q * g + r == fp
+
+
+@pytest.mark.parametrize("p,order,f,g", REAPPEARING, ids=["grevlex", "lex"])
+def test_division_when_a_cancelled_term_reappears(p, order, f, g):
+    reappeared = set()
+    reference_normal_form(f, [g], p, order, reappeared)
+    assert reappeared  # the input does exercise the case
+    _check_division(p, order, f, [g])
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    f=_DIV_TERMS,
+    basis=st.lists(_DIV_TERMS, min_size=1, max_size=3),
+)
+def test_heap_division_matches_max_driven_reference(order, p, f, basis):
+    _check_division(p, order, f, basis)
