@@ -3,21 +3,21 @@
 For a reduced Noetherian ring of characteristic p, regularity is
 equivalent to each of three ideal identities: bracket powers commute
 with finite intersections, with intersections against a principal ideal,
-and with colons by an element.  Each checker computes both sides of one
-identity and, on inequality, extracts a separating element that lies in
-exactly one side — a certificate of non-regularity (for reduced rings).
+and with colons by an element.  `_SIDES` maps each identity to the one
+function that builds its two sides; the checkers and `reverify_witness`
+both read it.  On inequality a checker extracts a separating element that
+lies in exactly one side — a certificate of non-regularity (for reduced rings).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
 
 from .frobenius import bracket_power, is_reduced
 from .ideals import Ideal, QuotientRing
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, monomial_pool
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
 PRINCIPAL_INTERSECTION = "PRINCIPAL_INTERSECTION"
@@ -89,32 +89,54 @@ def _separator(lhs: Ideal, rhs: Ideal):
     raise AssertionError("sides compare unequal but no separator found")
 
 
-def _report(identity, ring, lhs, rhs, I, x, family, e) -> CheckReport:
+def _principal_intersection_sides(I: Ideal, x: Polynomial, e: int):
+    """I^[q] ∩ (x^q) and (I ∩ (x))^[q]."""
+    principal = I.ring.ideal([x])
+    lhs = bracket_power(I, e).intersect(bracket_power(principal, e))
+    return lhs, bracket_power(I.intersect(principal), e)
+
+
+def _colon_sides(I: Ideal, x: Polynomial, e: int):
+    """(I : x)^[q] and (I^[q] : x^q)."""
+    return bracket_power(I.colon(x), e), bracket_power(I, e).colon(x.frobenius_power(e))
+
+
+def _intersection_family_sides(I: Ideal, family, e: int):
+    """(I ∩ J_1 ∩ ...)^[q] and I^[q] ∩ J_1^[q] ∩ ..., folding left to right."""
+    meet = I
+    for J in family:
+        meet = meet.intersect(J)
+    lhs = bracket_power(meet, e)
+    rhs = bracket_power(I, e)
+    for J in family:
+        rhs = rhs.intersect(bracket_power(J, e))
+    return lhs, rhs
+
+
+# identity -> builder of its two sides from (I, x or the other ideals, e)
+_SIDES = {
+    PRINCIPAL_INTERSECTION: _principal_intersection_sides,
+    COLON: _colon_sides,
+    INTERSECTION_FAMILY: _intersection_family_sides,
+}
+
+
+def _check(identity, ring, I, x, family, e) -> CheckReport:
+    lhs, rhs = _SIDES[identity](I, x if family is None else family, e)
     if lhs == rhs:
         return CheckReport(identity, ring.describe(), 1, "PASS")
     sep, side = _separator(lhs, rhs)
-    return CheckReport(
-        identity,
-        ring.describe(),
-        1,
-        "FAIL",
-        Witness(I, x, family, e, sep, side),
-    )
+    return CheckReport(identity, ring.describe(), 1, "FAIL", Witness(I, x, family, e, sep, side))
 
 
 def check_principal_intersection(ring: QuotientRing, I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
     """Does I^[q] ∩ (x^q) equal (I ∩ (x))^[q]?  (q = p^e)"""
-    principal = ring.ideal([x])
-    lhs = bracket_power(I, e).intersect(bracket_power(principal, e))
-    rhs = bracket_power(I.intersect(principal), e)
-    return _report(PRINCIPAL_INTERSECTION, ring, lhs, rhs, I, x, None, e)
+    return _check(PRINCIPAL_INTERSECTION, ring, I, x, None, e)
 
 
 def check_colon(ring: QuotientRing, I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
     """Does (I : x)^[q] equal (I^[q] : x^q)?  (q = p^e)"""
-    lhs = bracket_power(I.colon(x), e)
-    rhs = bracket_power(I, e).colon(x.frobenius_power(e))
-    return _report(COLON, ring, lhs, rhs, I, x, None, e)
+    return _check(COLON, ring, I, x, None, e)
 
 
 def check_intersection_family(ring: QuotientRing, ideals, e: int = 1) -> CheckReport:
@@ -122,16 +144,7 @@ def check_intersection_family(ring: QuotientRing, ideals, e: int = 1) -> CheckRe
     ideals = list(ideals)
     if len(ideals) < 2:
         raise ValueError("family checks need at least two ideals")
-    meet = ideals[0]
-    for J in ideals[1:]:
-        meet = meet.intersect(J)
-    lhs = bracket_power(meet, e)
-    rhs = bracket_power(ideals[0], e)
-    for J in ideals[1:]:
-        rhs = rhs.intersect(bracket_power(J, e))
-    return _report(
-        INTERSECTION_FAMILY, ring, lhs, rhs, ideals[0], None, tuple(ideals[1:]), e
-    )
+    return _check(INTERSECTION_FAMILY, ring, ideals[0], None, tuple(ideals[1:]), e)
 
 
 def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
@@ -141,29 +154,15 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
     w = report.witness
     if w is None:
         return False
+    sides = _SIDES.get(report.identity)
+    if sides is None:
+        raise ValueError(f"unknown identity {report.identity}")
     gens = list(reversed(w.I.gens))
     if len(gens) >= 2:
         gens.append(gens[0] + gens[1])
     elif gens:
         gens.append(gens[0] + gens[0])  # 2g, redundant in any characteristic
-    I2 = Ideal(ring, gens)
-    e = w.e
-    if report.identity == PRINCIPAL_INTERSECTION:
-        principal = ring.ideal([w.x])
-        lhs = bracket_power(I2, e).intersect(bracket_power(principal, e))
-        rhs = bracket_power(I2.intersect(principal), e)
-    elif report.identity == COLON:
-        lhs = bracket_power(I2.colon(w.x), e)
-        rhs = bracket_power(I2, e).colon(w.x.frobenius_power(e))
-    elif report.identity == INTERSECTION_FAMILY:
-        meet = I2
-        rhs = bracket_power(I2, e)
-        for J in w.family:
-            meet = meet.intersect(J)
-            rhs = rhs.intersect(bracket_power(J, e))
-        lhs = bracket_power(meet, e)
-    else:
-        raise ValueError(f"unknown identity {report.identity}")
+    lhs, rhs = sides(Ideal(ring, gens), w.x if w.family is None else w.family, w.e)
     return lhs.contains(w.separator) != rhs.contains(w.separator)
 
 
@@ -172,11 +171,9 @@ def fedder_is_fpure(ring: QuotientRing) -> bool:
     (Q^[p] : Q) is not contained in m^[p], m = (all variables)."""
     if ring.is_polynomial_ring:
         return True
-    p = ring.field.p
-    S = QuotientRing(ring.field, ring.names, (), order=ring.ambient.order)
+    S = ring.cover()
     Q = S.ideal(list(ring.quotient_gens))
-    Qp = bracket_power(Q, 1)
-    colon = Qp.colon_ideal(Q)
+    colon = bracket_power(Q, 1).colon_ideal(Q)
     m_p = S.ideal([v.frobenius_power(1) for v in S.ambient.variables()])
     return any(not m_p.contains(g) for g in colon.groebner)
 
@@ -193,9 +190,7 @@ def jacobian_regularity_oracle(ring: QuotientRing) -> str:
     if len(gb) != 1:
         return UNSUPPORTED
     f = gb[0]
-    S = QuotientRing(ring.field, ring.names, (), order=ring.ambient.order)
-    gens = [f] + [f.derivative(i) for i in range(ring.ambient.nvars)]
-    jac = S.ideal(gens)
+    jac = ring.cover().ideal([f] + [f.derivative(i) for i in range(ring.ambient.nvars)])
     return REGULAR if jac.is_unit else SINGULAR
 
 
@@ -212,49 +207,26 @@ def _rng(config: SamplerConfig, position: int, tag: str) -> random.Random:
     return random.Random(f"{config.seed}:{position}:{tag}")
 
 
-# Monomial pools of the most recent (ambient ring, degree) pairs; a probe
-# asks for the same one twice per trial.
-_POOL_CACHE_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
-def _monomial_pool(S: PolyRing, max_degree: int) -> tuple:
-    """Monomials of S of degree at most max_degree in ascending monomial
-    order; the sampler draws from them by position."""
-    pool = [
-        exps
-        for exps in itertools.product(range(max_degree + 1), repeat=S.nvars)
-        if sum(exps) <= max_degree
-    ]
-    pool.sort(key=S.order.key, reverse=True)
-    return tuple(pool)
+def _draw(rng: random.Random, ring: QuotientRing, pool, config: SamplerConfig) -> Polynomial:
+    """1..max_terms terms, each a monomial drawn from pool and then a
+    coefficient in 1..p-1; never zero, as every coefficient is nonzero."""
+    acc = {}
+    for _ in range(rng.randint(1, config.max_terms)):
+        m = pool[rng.randrange(len(pool))]
+        acc[m] = rng.randint(1, ring.field.p - 1)
+    return ring.ambient.poly(acc)
 
 
 def sample_polynomial(ring: QuotientRing, config: SamplerConfig, position: int, tag: str = "elem") -> Polynomial:
-    rng = _rng(config, position, tag)
-    pool = _monomial_pool(ring.ambient, config.max_degree)
-    p = ring.field.p
-    nterms = rng.randint(1, config.max_terms)
-    acc = {}
-    for _ in range(nterms):
-        m = pool[rng.randrange(len(pool))]
-        acc[m] = rng.randint(1, p - 1)
-    return ring.ambient.poly(acc)
+    pool = monomial_pool(ring.ambient, config.max_degree)
+    return _draw(_rng(config, position, tag), ring, pool, config)
 
 
 def sample_ideal(ring: QuotientRing, config: SamplerConfig, position: int, tag: str = "ideal") -> Ideal:
     rng = _rng(config, position, tag)
-    pool = _monomial_pool(ring.ambient, config.max_degree)
-    p = ring.field.p
-    gens = []
-    for g in range(rng.randint(1, config.max_generators)):
-        nterms = rng.randint(1, config.max_terms)
-        acc = {}
-        for _ in range(nterms):
-            m = pool[rng.randrange(len(pool))]
-            acc[m] = rng.randint(1, p - 1)
-        gens.append(ring.ambient.poly(acc))
-    return Ideal(ring, gens)
+    pool = monomial_pool(ring.ambient, config.max_degree)
+    ngens = rng.randint(1, config.max_generators)
+    return Ideal(ring, [_draw(rng, ring, pool, config) for _ in range(ngens)])
 
 
 NOT_REGULAR = "NOT_REGULAR"
@@ -291,11 +263,8 @@ def _structured_inputs(ring: QuotientRing):
     and the full maximal-ideal generator set; all known hand witnesses
     live at this degree."""
     variables = ring.ambient.variables()
-    ideals = [ring.ideal([v]) for v in variables]
-    ideals.append(ring.ideal(list(variables)))
-    elems = list(variables)
-    for a, b in itertools.combinations(variables, 2):
-        elems.append(a + b)
+    ideals = [ring.ideal([v]) for v in variables] + [ring.ideal(variables)]
+    elems = variables + [a + b for a, b in itertools.combinations(variables, 2)]
     return ideals, elems
 
 
@@ -338,8 +307,6 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
     for pos in range(config.count):
         I = sample_ideal(ring, config, pos)
         x = sample_polynomial(ring, config, pos)
-        if x.is_zero:
-            continue
         for e in e_list:
             for chk in (check_principal_intersection, check_colon):
                 rep = chk(ring, I, x, e)

@@ -59,7 +59,7 @@ _COMMANDS = {
     "equal": ("ideal", "ideal"),
     "sum": ("ideal", "ideal"),
     "bracket": ("ideal", "int"),
-    "frobroot": ("ideal", "int"),
+    "frobroot": ("ideal", "int+"),
     "fkernel": ("ideal",),
     "nilradical": (),
     "reduced": (),
@@ -126,6 +126,8 @@ def parse_session(text: str) -> SessionSpec:
             except FFrobError as exc:
                 raise ParseError(str(exc), lineno) from exc
             names = tuple(n for n in m.group(2).split(",") if n)
+            if not names:
+                raise ParseError(f"ring declaration names no variables: {line!r}", lineno)
             if len(set(names)) != len(names):
                 raise ParseError(f"duplicate variable names in {line!r}", lineno)
             try:
@@ -212,6 +214,8 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
         else:
             if not re.fullmatch(r"\d+", tok):
                 raise ParseError(f"expected a nonnegative integer, got {tok!r}", lineno)
+            if kind == "int+" and int(tok) < 1:
+                raise ParseError(f"{name} needs an exponent of at least 1, got {tok}", lineno)
             args.append(int(tok))
     return Command(lineno, name, args, {})
 

@@ -1,8 +1,8 @@
-"""Exact arithmetic in the prime field F_p.
+"""The prime field F_p: its characteristic and inverses.
 
-Elements are plain Python ints kept as least nonnegative residues in
-[0, p), so equality of coefficients is integer equality.  p is capped
-below 2^31: products then fit comfortably in machine words before
+Coefficients are plain Python ints kept as least nonnegative residues in
+[0, p) by `% p`, so equality of coefficients is integer equality.  p is
+capped below 2^31: products then fit comfortably in machine words before
 reduction, and every ring in practice uses tiny p anyway.
 """
 
@@ -51,34 +51,11 @@ class PrimeField:
             raise FFrobError(f"characteristic {p} is not prime")
         self.p = p
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on a = 0."""
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            raise FFrobError("negative exponent; use inv() first")
-        return pow(a, n, self.p)
-
-    def elements(self):
-        return range(self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import RingMismatchError, UnsupportedOperationError
 from .groebner import elimination_ideal
 from .ideals import Ideal, QuotientRing
-from .poly import EXP_LIMIT, MonomialOrder, Polynomial, PolyRing
+from .poly import EXP_LIMIT, MonomialOrder, Polynomial, PolyRing, monomial_pool
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -100,8 +100,7 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
 
     f is nilpotent mod Q iff f^(p^e) ∈ Q for some e, so the ascending
     chain Q ⊆ φ^-1(Q) ⊆ φ^-2(Q) ⊆ ... stabilizes at the nilradical."""
-    S = QuotientRing(ring.field, ring.names, (), order=ring.ambient.order)
-    J = S.ideal(list(ring.quotient_gens))
+    J = ring.cover().ideal(list(ring.quotient_gens))
     steps = 0
     while True:
         K = frobenius_kernel_preimage(J)
@@ -115,8 +114,7 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
 
 def is_reduced(ring: QuotientRing) -> bool:
     """True iff R has no nonzero nilpotents (Frobenius is injective)."""
-    S = QuotientRing(ring.field, ring.names, (), order=ring.ambient.order)
-    J = S.ideal(list(ring.quotient_gens))
+    J = ring.cover().ideal(list(ring.quotient_gens))
     return frobenius_kernel_preimage(J) == J
 
 
@@ -171,11 +169,7 @@ _ENUM_CAP = 4096
 
 def _closure_candidates(ring: QuotientRing, degree_bound: int):
     S = ring.ambient
-    monos = []
-    for exps in itertools.product(range(degree_bound + 1), repeat=S.nvars):
-        if 0 < sum(exps) <= degree_bound:
-            monos.append(exps)
-    monos.sort(key=S.order.key, reverse=True)
+    monos = monomial_pool(S, degree_bound)[1:]  # all but the constant 1
     p = ring.field.p
     if p ** len(monos) <= _ENUM_CAP:
         for coeffs in itertools.product(range(p), repeat=len(monos)):

@@ -227,25 +227,18 @@ def _reduce_basis(G):
     """Minimize and tail-reduce a Groebner basis into the reduced basis."""
     if not G:
         return []
-    ring = G[0].ring
-    key = ring.order.key
-    # drop generators whose leading monomial is divisible by another's
-    G = sorted(G, key=lambda g: key(g.leading_monomial), reverse=True)
-    minimal = []
-    for idx, g in enumerate(G):
+    key = G[0].ring.order.key
+    # drop generators whose leading monomial is divisible by another's: in
+    # ascending order a divisor, never bigger, is met first, so one pass
+    # against the kept ones suffices (of equal ones the first is kept)
+    reduced = []
+    for g in sorted(G, key=lambda g: key(g.leading_monomial), reverse=True):
         lm = g.leading_monomial
-        redundant = any(
-            _divides(h.leading_monomial, lm) and h.leading_monomial != lm
-            for h in G
-            if h is not g
-        ) or any(h.leading_monomial == lm for h in G[:idx] if h is not g)
-        if not redundant:
-            minimal.append(g)
+        if not any(_divides(h.leading_monomial, lm) for h in reduced):
+            reduced.append(g)
     # tail-reduce each against the rest
-    reduced = list(minimal)
     for i in range(len(reduced)):
-        others = reduced[:i] + reduced[i + 1 :]
-        reduced[i] = normal_form(reduced[i], others).monic()
+        reduced[i] = normal_form(reduced[i], reduced[:i] + reduced[i + 1 :]).monic()
     reduced.sort(key=lambda g: key(g.leading_monomial))
     return reduced
 

@@ -49,6 +49,10 @@ class QuotientRing:
         """Reduced Groebner basis of Q in the ambient ring."""
         return self._qgb
 
+    def cover(self) -> "QuotientRing":
+        """F_p[vars] with this ring's order: the ring this one is a quotient of."""
+        return QuotientRing(self.field, self.names, (), order=self.ambient.order)
+
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)
 

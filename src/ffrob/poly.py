@@ -9,6 +9,9 @@ are equal exactly when their term tuples are identical.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .errors import ExponentOverflowError, RingMismatchError
 from .field import PrimeField
 
@@ -143,6 +146,24 @@ class PolyRing:
 
     def __repr__(self):
         return f"F_{self.field.p}[{','.join(self.names)}]<{self.order!r}>"
+
+
+# Monomial pools of the most recent (ring, degree) pairs; a probe asks for
+# the same one twice per trial.
+_POOL_CACHE_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
+def monomial_pool(S: PolyRing, max_degree: int) -> tuple:
+    """Monomials of S of degree at most max_degree in ascending monomial
+    order, so the constant monomial comes first."""
+    pool = [
+        exps
+        for exps in itertools.product(range(max_degree + 1), repeat=S.nvars)
+        if sum(exps) <= max_degree
+    ]
+    pool.sort(key=S.order.key, reverse=True)
+    return tuple(pool)
 
 
 class Polynomial:

@@ -1,4 +1,11 @@
+import dataclasses
+import importlib
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffrob import (
     PrimeField,
@@ -19,14 +26,15 @@ from ffrob import (
 )
 from ffrob.checks import (
     COLON,
+    INTERSECTION_FAMILY,
     NO_WITNESS_FOUND,
     NOT_REGULAR,
     PRINCIPAL_INTERSECTION,
     REGULAR,
     SINGULAR,
     UNSUPPORTED,
-    _monomial_pool,
 )
+from ffrob.poly import monomial_pool
 
 from oracles import CuspSemigroup
 
@@ -118,6 +126,27 @@ def test_check2_counterexample_witness(counterexample):
     assert reverify_witness(rep, counterexample)
 
 
+def test_reverify_rejects_a_separator_in_both_sides(cusp, counterexample):
+    C = counterexample
+    I, y = cusp.ideal([P(cusp, "x")]), P(cusp, "y")
+    reports = [
+        (check_principal_intersection(cusp, I, y, 1), cusp),
+        (check_colon(cusp, I, y, 1), cusp),
+        (check_intersection_family(C, [C.ideal([P(C, "x")]), C.ideal([P(C, "y")])], 1), C),
+    ]
+    assert [rep.identity for rep, _ in reports] == [PRINCIPAL_INTERSECTION, COLON, INTERSECTION_FAMILY]
+    for rep, ring in reports:
+        assert not rep.passed and reverify_witness(rep, ring)
+        zero = dataclasses.replace(rep.witness, separator=ring.ambient.zero())
+        assert not reverify_witness(dataclasses.replace(rep, witness=zero), ring)
+
+
+def test_reverify_rejects_an_unknown_identity(cusp):
+    rep = check_colon(cusp, cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
+    with pytest.raises(ValueError, match="unknown identity"):
+        reverify_witness(dataclasses.replace(rep, identity="NO_SUCH_IDENTITY"), cusp)
+
+
 def test_check2_degenerate_family(counterexample):
     I = counterexample.ideal([P(counterexample, "x")])
     assert check_intersection_family(counterexample, [I, I], 1).passed
@@ -178,6 +207,47 @@ def test_sampler_determinism():
     assert (mine.gens != other.gens) or mine == other  # different seeds may differ
 
 
+# sample_ideal / sample_polynomial at seed 7, positions 0-4.  Probe inputs
+# are reproducible from a seed only while these hold: each term draws its
+# monomial before its coefficient, from the pool in ascending order
+_PINNED_SAMPLES = {
+    (2, ("x", "y")): (
+        [["x^2*y"], ["y^2 + y"], ["x^3 + x*y + y^2", "x"], ["x"], ["x^2 + y^2"]],
+        ["x^3", "1", "x^2*y + x*y", "x^2*y", "x^2*y + x*y^2 + 1"],
+    ),
+    (5, ("x", "y", "z")): (
+        [["3*x*y^2"], ["x*z + x"], ["3*x^3 + 3*x*y + 4*x*z", "3*z^2"], ["3*y*z"], ["4*z^3 + y^2"]],
+        ["2*x^3", "z", "x*y^2 + 4*x*y", "4*x*y^2", "4*x*y^2 + 2*x*y*z + 2*z"],
+    ),
+}
+
+
+@pytest.mark.parametrize("p,names", sorted(_PINNED_SAMPLES))
+def test_sampler_draw_sequence_is_pinned(p, names):
+    R = make_ring(p, names)
+    cfg = SamplerConfig(seed=7)
+    ideals, elems = _PINNED_SAMPLES[(p, names)]
+    assert [[str(g) for g in sample_ideal(R, cfg, i).gens] for i in range(5)] == ideals
+    assert [str(sample_polynomial(R, cfg, i)) for i in range(5)] == elems
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.integers(0, 50),
+)
+def test_sample_polynomial_is_never_zero(p, nvars, max_degree, max_terms, seed, pos):
+    R = make_ring(p, ("a", "b", "c")[:nvars])
+    cfg = SamplerConfig(seed=seed, max_degree=max_degree, max_terms=max_terms)
+    f = sample_polynomial(R, cfg, pos)
+    assert not f.is_zero
+    assert 1 <= len(f.terms) <= max_terms
+
+
 def test_sampler_shapes():
     R = make_ring(2, ("x", "y"))
     cfg = SamplerConfig(seed=5, max_degree=2, max_terms=1, max_generators=1)
@@ -191,7 +261,7 @@ def test_sampler_shapes():
 
 def test_monomial_pool_is_in_ascending_monomial_order():
     # the sampler draws pool entries by position, so this order fixes its inputs
-    pool = _monomial_pool(make_ring(2, ("x", "y", "z")).ambient, 3)
+    pool = monomial_pool(make_ring(2, ("x", "y", "z")).ambient, 3)
     assert len(pool) == 20
     assert pool[:6] == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 1, 1))
     assert pool[-6:] == ((1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
@@ -200,10 +270,10 @@ def test_monomial_pool_is_in_ascending_monomial_order():
 def test_monomial_pool_is_built_once_per_ring_and_degree():
     cfg = SamplerConfig(seed=3, max_degree=6)
     first = sample_ideal(make_ring(7, ("u", "v", "w")), cfg, 0)
-    built = _monomial_pool.cache_info()
+    built = monomial_pool.cache_info()
     # an equal ring built again shares the pool
     assert sample_ideal(make_ring(7, ("u", "v", "w")), cfg, 0) == first
-    again = _monomial_pool.cache_info()
+    again = monomial_pool.cache_info()
     assert again.misses == built.misses
     assert again.hits == built.hits + 1
 
@@ -254,3 +324,24 @@ def test_proposition_pipeline_dual_numbers():
     R_red = QuotientRing(D.field, D.names, list(N.groebner))
     assert fedder_is_fpure(R_red)
     assert jacobian_regularity_oracle(R_red) == REGULAR
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer patches these by module attribute, so a rename
+    # in ffrob must fail here rather than only in a traced benchmark run
+    tracer = _load_tracer()
+    for mod, attr_path in tracer.SPANNED + tracer.COUNTED:
+        module = importlib.import_module(f"ffrob.{mod}")
+        owner, _, attr = attr_path.rpartition(".")
+        if owner:
+            assert attr in vars(getattr(module, owner)), f"{mod}.{attr_path}"
+        else:
+            assert callable(getattr(module, attr)), f"{mod}.{attr_path}"

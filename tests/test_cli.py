@@ -74,6 +74,8 @@ def test_parse_session_dual_numbers():
         ("ring p=2 vars=x\nprobe --emax 0\n", "--emax must be at least 1"),
         ("ring p=2 vars=x\nprobe --max-terms 0\n", "--max-terms must be at least 1"),
         ("ring p=2 vars=x\nprobe --max-generators 0\n", "--max-generators must be at least 1"),
+        ("ring p=2 vars=x\nideal I = [x]\nfrobroot I 0\n", "line 3: frobroot needs an exponent of at least 1"),
+        ("ring p=2 vars=,\nprobe --count 0\n", "line 1: ring declaration names no variables"),
     ],
 )
 def test_parse_session_errors_carry_line_numbers(text, fragment):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ffrob import FFrobError, PrimeField
+from ffrob import FFrobError, PolyRing, PrimeField
 from ffrob.field import is_prime
 
 
@@ -16,41 +16,26 @@ def test_zero_has_no_inverse():
         PrimeField(5).inv(0)
 
 
-def test_pow_examples():
-    assert PrimeField(3).pow(2, 3) == 2
-    assert PrimeField(5).pow(4, 0) == 1
-    # frozen against the repeated-multiplication oracle below
-    assert PrimeField(7).pow(3, 100) == 4
-
-
-def test_pow_matches_repeated_multiplication():
-    F = PrimeField(7)
-    for a in F.elements():
-        acc = 1
-        for n in range(20):
-            assert F.pow(a, n) == acc
-            acc = acc * a % 7
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_fermat_and_involution(p):
     F = PrimeField(p)
-    for a in F.elements():
-        assert F.pow(a, p) == a
-        if a:
-            assert F.inv(F.inv(a)) == a
-            assert F.mul(a, F.inv(a)) == 1
+    for a in range(1, p):
+        assert F.inv(F.inv(a)) == a
+        assert a * F.inv(a) % p == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
-    F = PrimeField(p)
-    for a, b, c in itertools.product(F.elements(), repeat=3):
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(a, b) == F.add(b, a)
-        assert F.mul(a, b) == F.mul(b, a)
+    # coefficient arithmetic, as the polynomial code does it, on constants
+    R = PolyRing(PrimeField(p), ("x",))
+    c = [R.constant(a) for a in range(p)]
+    for a, b, d in itertools.product(c, repeat=3):
+        assert (a + b) + d == a + (b + d)
+        assert (a * b) * d == a * (b * d)
+        assert a * (b + d) == a * b + a * d
+        assert a + b == b + a
+        assert a * b == b * a
+        assert a - b + b == a
 
 
 def test_construction_rejects_bad_characteristic():
