@@ -40,7 +40,9 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
         )
     if e < 1:
         raise ValueError("Frobenius root exponent must be at least 1")
-    q = I.ring.field.p**e
+    # every exponent is below 2^32 <= p^32, so for e >= 32 the quotients
+    # are 0 and the remainders the exponents: the root no longer depends on e
+    q = I.ring.field.p ** min(e, 32)
     pieces = {}
     for f in I.gens:
         per_mu = {}

@@ -12,13 +12,16 @@ term that cancels keeps its heap entry, with coefficient 0, and is
 skipped when popped; every term a reduction step adds is smaller than
 the one being reduced, so a monomial never comes back once popped.  S-pairs wait in a
 heap of (lcm degree, creation index), the same order as the normal
-strategy above.
+strategy above.  Per-exponent monomial operations (divisibility, lcm,
+coprimality, shifts) are `map` over `operator` functions, so their loops
+over the exponents run in C.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
+from operator import add, le, mul, sub
 
 from .poly import MonomialOrder, Polynomial, PolyRing
 
@@ -32,16 +35,10 @@ _MEMO_CAPACITY = 8
 _memo = OrderedDict()
 
 
-def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _lc_inverse(g: Polynomial) -> int:
+    # every Buchberger basis element is monic: most divisors need no inverse
+    lc = g.leading_coeff
+    return 1 if lc == 1 else g.ring.field.inv(lc)
 
 
 def normal_form(f: Polynomial, basis) -> Polynomial:
@@ -54,12 +51,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if f.is_zero or not basis:
         return f
     ring = f.ring
-    field = ring.field
     key = ring.order.key
-    p = field.p
-    heads = [
-        (g.leading_monomial, field.inv(g.leading_coeff), g.terms[1:]) for g in basis
-    ]
+    p = ring.field.p
+    heads = [(g.leading_monomial, _lc_inverse(g), g.terms[1:]) for g in basis]
     # every monomial of work has one heap entry; a cancelled term stays in
     # work with coefficient 0 until it is popped
     work = dict(f.terms)
@@ -72,11 +66,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         if not c:
             continue
         for lm, lcinv, tail in heads:
-            if _divides(lm, m):
+            if all(map(le, lm, m)):  # lm divides m
                 fc = c * lcinv % p
-                shift = tuple(x - y for x, y in zip(m, lm))
+                shift = tuple(map(sub, m, lm))
                 for gm, gc in tail:
-                    t = tuple(x + y for x, y in zip(gm, shift))
+                    t = tuple(map(add, gm, shift))
                     v = work.get(t)
                     if v is None:
                         heappush(heap, (key(t), t))
@@ -93,10 +87,9 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     """Single-divisor division: returns (q, r) with f = q*g + r and no
     term of r divisible by the leading monomial of g."""
     ring = f.ring
-    field = ring.field
-    p = field.p
+    p = ring.field.p
     key = ring.order.key
-    lm, lcinv = g.leading_monomial, field.inv(g.leading_coeff)
+    lm, lcinv = g.leading_monomial, _lc_inverse(g)
     tail = g.terms[1:]
     work = dict(f.terms)  # as in normal_form: one heap entry per monomial
     heap = [(key(m), m) for m in work]
@@ -108,12 +101,12 @@ def poly_divmod(f: Polynomial, g: Polynomial):
         c = work.pop(m)
         if not c:
             continue
-        if _divides(lm, m):
+        if all(map(le, lm, m)):  # lm divides m
             fc = c * lcinv % p
-            shift = tuple(x - y for x, y in zip(m, lm))
+            shift = tuple(map(sub, m, lm))
             quot.append((shift, fc))
             for gm, gc in tail:
-                t = tuple(x + y for x, y in zip(gm, shift))
+                t = tuple(map(add, gm, shift))
                 v = work.get(t)
                 if v is None:
                     heappush(heap, (key(t), t))
@@ -133,14 +126,10 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    field = f.ring.field
-    lmf, lmg = f.leading_monomial, g.leading_monomial
-    lcm = _lcm(lmf, lmg)
-    uf = tuple(a - b for a, b in zip(lcm, lmf))
-    ug = tuple(a - b for a, b in zip(lcm, lmg))
-    return f.mul_term(field.inv(f.leading_coeff), uf) - g.mul_term(
-        field.inv(g.leading_coeff), ug
-    )
+    lcm = tuple(map(max, f.leading_monomial, g.leading_monomial))
+    uf = tuple(map(sub, lcm, f.leading_monomial))
+    ug = tuple(map(sub, lcm, g.leading_monomial))
+    return f.mul_term(_lc_inverse(f), uf) - g.mul_term(_lc_inverse(g), ug)
 
 
 def buchberger(gens, order: MonomialOrder | None = None):
@@ -182,6 +171,7 @@ def _buchberger_core(gens):
         h = normal_form(g, G)
         if not h.is_zero:
             G.append(h.monic())
+    lms = [g.leading_monomial for g in G]  # lms[k] is G[k]'s, as G grows
     # normal strategy: smallest lcm degree first, ties by creation order
     pairs = []
     serial = 0
@@ -189,9 +179,9 @@ def _buchberger_core(gens):
 
     def add_pairs(j):
         nonlocal serial
+        lmj = lms[j]
         for i in range(j):
-            lcm = _lcm(G[i].leading_monomial, G[j].leading_monomial)
-            heappush(pairs, (sum(lcm), serial, i, j))
+            heappush(pairs, (sum(map(max, lms[i], lmj)), serial, i, j))
             serial += 1
 
     for j in range(len(G)):
@@ -200,26 +190,22 @@ def _buchberger_core(gens):
     while pairs:
         _, _, i, j = heappop(pairs)
         treated.add((i, j))
-        lmi, lmj = G[i].leading_monomial, G[j].leading_monomial
-        if _coprime(lmi, lmj):
+        lmi, lmj = lms[i], lms[j]
+        if not any(map(mul, lmi, lmj)):  # coprime leading monomials
             continue
-        lcm = _lcm(lmi, lmj)
+        lcm = tuple(map(max, lmi, lmj))
         # chain criterion: some k divides the lcm and both chained pairs are done
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(G[k].leading_monomial, lcm):
+        for k, lmk in enumerate(lms):
+            if k != i and k != j and all(map(le, lmk, lcm)):
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if a in treated and b in treated:
-                    skip = True
                     break
-        if skip:
-            continue
-        h = normal_form(s_polynomial(G[i], G[j]), G)
-        if not h.is_zero:
-            G.append(h.monic())
-            add_pairs(len(G) - 1)
+        else:
+            h = normal_form(s_polynomial(G[i], G[j]), G)
+            if not h.is_zero:
+                G.append(h.monic())
+                lms.append(G[-1].leading_monomial)
+                add_pairs(len(G) - 1)
     return _reduce_basis(G)
 
 
@@ -234,7 +220,7 @@ def _reduce_basis(G):
     reduced = []
     for g in sorted(G, key=lambda g: key(g.leading_monomial), reverse=True):
         lm = g.leading_monomial
-        if not any(_divides(h.leading_monomial, lm) for h in reduced):
+        if not any(all(map(le, h.leading_monomial, lm)) for h in reduced):
             reduced.append(g)
     # tail-reduce each against the rest
     for i in range(len(reduced)):
@@ -287,9 +273,5 @@ def elimination_ideal(gens, k: int):
         return []
     ring = gens[0].ring
     gb = buchberger(gens, order=MonomialOrder.block(k))
-    kept = [
-        g
-        for g in gb
-        if all(all(e == 0 for e in m[:k]) for m, _ in g.terms)
-    ]
+    kept = [g for g in gb if not any(any(m[:k]) for m, _ in g.terms)]
     return [g.convert(ring) for g in kept]

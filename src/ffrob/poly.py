@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import add, neg
 
 from .errors import ExponentOverflowError, RingMismatchError
 from .field import PrimeField
@@ -56,11 +57,11 @@ class MonomialOrder:
 
     def key(self, exps):
         if self.kind == LEX:
-            return tuple(-e for e in exps)
+            return tuple(map(neg, exps))
         if self.kind == GREVLEX:
             return _grevlex_key(exps)
         k = self.nblock
-        return (tuple(-e for e in exps[:k]), _grevlex_key(exps[k:]))
+        return (tuple(map(neg, exps[:k])), _grevlex_key(exps[k:]))
 
     def __eq__(self, other):
         return (
@@ -166,6 +167,12 @@ def monomial_pool(S: PolyRing, max_degree: int) -> tuple:
     return tuple(pool)
 
 
+def _overflow(exps):
+    """Raise for the first exponent of exps at or past EXP_LIMIT."""
+    e = next(e for e in exps if e >= EXP_LIMIT)
+    raise ExponentOverflowError(f"exponent {e} exceeds 2^32")
+
+
 class Polynomial:
     """Immutable canonical sparse polynomial; build via PolyRing.poly()."""
 
@@ -222,10 +229,9 @@ class Polynomial:
         acc = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
-                m = tuple(a + b for a, b in zip(ma, mb))
-                for e in m:
-                    if e >= EXP_LIMIT:
-                        raise ExponentOverflowError(f"exponent {e} exceeds 2^32")
+                m = tuple(map(add, ma, mb))
+                if m and max(m) >= EXP_LIMIT:
+                    _overflow(m)
                 v = (acc.get(m, 0) + ca * cb) % p
                 if v:
                     acc[m] = v
@@ -248,15 +254,14 @@ class Polynomial:
             return self.ring.zero()
         out = []
         for m, cc in self.terms:
-            nm = tuple(a + b for a, b in zip(m, exps))
-            for e in nm:
-                if e >= EXP_LIMIT:
-                    raise ExponentOverflowError(f"exponent {e} exceeds 2^32")
+            nm = tuple(map(add, m, exps))
+            if nm and max(nm) >= EXP_LIMIT:
+                _overflow(nm)
             out.append((nm, cc * c % p))
         return self.ring.poly(dict(out))
 
     def monic(self) -> "Polynomial":
-        if self.is_zero:
+        if self.is_zero or self.leading_coeff == 1:
             return self
         return self.scale(self.ring.field.inv(self.leading_coeff))
 

@@ -148,6 +148,24 @@ def test_cli_fclosure_stops_at_largest_fitting_exponent(tmp_path):
     ]
 
 
+def test_cli_huge_frobroot_exponent_answers_as_at_32(tmp_path):
+    # every exponent is below 2^32 <= p^32, so the root is the same for all
+    # e >= 32; the timeout turns building p^e for a huge e into a failure
+    session = tmp_path / "frobroot.ffor"
+    session.write_text(
+        "ring p=2 vars=x\nideal I = [x]\nfrobroot I 99999999999999999999\nfrobroot I 32\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "ffrob.cli", str(session), "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    huge, at_32 = json.loads(out.stdout)
+    assert huge == at_32 == {"command": "frobroot", "result": ["1"]}
+
+
 @pytest.mark.parametrize("session", sorted(p.stem for p in SESSIONS.glob("*.ffor")))
 def test_cli_corpus_json_is_byte_identical_to_recording(session):
     exit_codes = json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))

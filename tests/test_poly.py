@@ -11,6 +11,8 @@ from ffrob import (
     render,
 )
 
+from oracles import order_key
+
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 R2 = PolyRing(F2, ("x", "y"))
@@ -110,6 +112,27 @@ def test_exponent_overflow():
     assert R2.constant(1).frobenius_power(20000) == R2.constant(1)
 
 
+def test_product_exponent_limit():
+    x, y = xy(R2)
+    top = 2**32 - 1
+    assert x.mul_term(1, (top - 1, 0)).leading_monomial == (top, 0)
+    assert (x * R2.monomial((top - 1, 0))).leading_monomial == (top, 0)
+    with pytest.raises(ExponentOverflowError):
+        x.mul_term(1, (top, 0))
+    with pytest.raises(ExponentOverflowError):
+        _ = x * R2.monomial((top, 0))
+    # both exponents of the product overflow: the message names the first,
+    # not the largest
+    first = r"^exponent 4294967297 exceeds 2\^32$"
+    with pytest.raises(ExponentOverflowError, match=first):
+        (x * y).mul_term(1, (2**32, 2**32 + 6))
+    with pytest.raises(ExponentOverflowError, match=first):
+        _ = (x * y) * R2.monomial((2**32, 2**32 + 6))
+    # a ring with no variables has only the empty monomial
+    R0 = PolyRing(F2, ())
+    assert R0.one() * R0.one() == R0.one().mul_term(1, ()) == R0.one()
+
+
 def test_render_canonical_form():
     x, y = xy(R3)
     f = x * x * y + y.scale(2)
@@ -143,6 +166,20 @@ def test_order_total_multiplicative_with_one_minimal(order, a, b, w):
         assert _greater(order, aw, bw)
     # 1 is minimal
     assert not _greater(order, (0, 0, 0), a)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.block(1), MonomialOrder.block(2)],
+    ids=repr,
+)
+@settings(max_examples=100, deadline=None)
+@given(monos=st.lists(st.tuples(*[st.integers(0, 6)] * 4), max_size=30))
+def test_order_key_sorts_as_the_oracle(order, monos):
+    # ascending key is descending monomial; the oracle's key runs upwards
+    assert sorted(monos, key=order.key) == sorted(
+        monos, key=lambda m: order_key(order, m), reverse=True
+    )
 
 
 def test_grevlex_classic_comparison():

@@ -46,7 +46,9 @@ def sympy_reduced_basis(gens, p, nvars, order_name):
 
 
 @pytest.mark.parametrize("order_name", sorted(ORDERS))
-@settings(max_examples=100, deadline=None)
+# derandomized: a random draw can hit a lex basis that neither ffrob nor
+# sympy finishes in minutes, which made the suite's run time a lottery
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=ideals())
 def test_buchberger_matches_sympy(order_name, case):
     p, nvars, gens = case
