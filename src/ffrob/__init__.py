@@ -37,7 +37,6 @@ from .frobenius import (
 from .groebner import (
     buchberger,
     elimination_ideal,
-    is_groebner_basis,
     normal_form,
     poly_ideal_intersect,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "frobenius_kernel_preimage",
     "frobenius_root",
     "is_frobenius_closed",
-    "is_groebner_basis",
     "is_reduced",
     "jacobian_regularity_oracle",
     "nilradical_char_p",

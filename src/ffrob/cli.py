@@ -286,7 +286,7 @@ def run_command(spec: SessionSpec, cmd: Command, overrides: dict) -> dict:
             max_generators=cmd.flags.get("max_generators", 2),
             count=cmd.flags.get("count", overrides.get("count", 50)),
         )
-        e_hi = cmd.flags.get("emax", overrides.get("probe_emax", 1))
+        e_hi = cmd.flags.get("emax", 1)
         rep = regularity_probe(ring, cfg, e_list=tuple(range(1, e_hi + 1)))
         out.update(rep.to_dict())
         out["result"] = rep.verdict

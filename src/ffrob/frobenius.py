@@ -11,9 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import RingMismatchError, UnsupportedOperationError
-from .groebner import elimination_ideal
+from .groebner import _eliminate
 from .ideals import Ideal, QuotientRing
-from .poly import EXP_LIMIT, MonomialOrder, Polynomial, PolyRing, monomial_pool
+from .poly import EXP_LIMIT, Polynomial, monomial_pool
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -61,8 +61,9 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
 def frobenius_kernel_preimage(J: Ideal) -> Ideal:
     """{f : f^p ∈ J} for J in a polynomial ambient ring.
 
-    Works in F_p[x.., y..] with the graph ideal J(x) + (y_i - x_i^p),
-    eliminates the x block, and reads the answer off in the y variables."""
+    Puts J's generators in n fresh variables x, adds y_i - x_i^p with the
+    ring's own variables as the y, and eliminates the x: what is left is
+    the answer in the y."""
     if not J.ring.is_polynomial_ring:
         raise UnsupportedOperationError(
             "Frobenius kernel preimages need a polynomial ambient ring"
@@ -70,22 +71,18 @@ def frobenius_kernel_preimage(J: Ideal) -> Ideal:
     S = J.ring.ambient
     n = S.nvars
     p = S.field.p
-    fresh = tuple("__f_" + name for name in S.names)
-    big = PolyRing(S.field, S.names + fresh, MonomialOrder.block(n))
 
-    def lift(f):
-        return big.poly({m + (0,) * n: c for m, c in f.terms})
+    def build(big):
+        gens = [big.poly({m + (0,) * n: c for m, c in g.terms}) for g in J.gens]
+        for i in range(n):
+            xi_p = [0] * (2 * n)
+            xi_p[i] = p
+            yi = [0] * (2 * n)
+            yi[n + i] = 1
+            gens.append(big.poly({tuple(yi): 1, tuple(xi_p): p - 1}))
+        return gens
 
-    gens = [lift(g) for g in J.gens]
-    for i in range(n):
-        xi_p = [0] * (2 * n)
-        xi_p[i] = p
-        yi = [0] * (2 * n)
-        yi[n + i] = 1
-        gens.append(big.poly({tuple(yi): 1, tuple(xi_p): p - 1}))
-    downstairs = elimination_ideal(gens, n)
-    out = [S.poly({m[n:]: c for m, c in g.terms}) for g in downstairs]
-    return Ideal(J.ring, out)
+    return Ideal(J.ring, _eliminate(S, n, build))
 
 
 @dataclass(frozen=True)

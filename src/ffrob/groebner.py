@@ -15,6 +15,10 @@ heap of (lcm degree, creation index), the same order as the normal
 strategy above.  Per-exponent monomial operations (divisibility, lcm,
 coprimality, shifts) are `map` over `operator` functions, so their loops
 over the exponents run in C.
+
+Every elimination (intersections, hence colons, and Frobenius kernel
+preimages) runs through `_eliminate`, whose fresh variables are named by
+a run of underscores that no name of the caller's ring starts with.
 """
 
 from __future__ import annotations
@@ -229,39 +233,40 @@ def _reduce_basis(G):
     return reduced
 
 
-def is_groebner_basis(G) -> bool:
-    """Self-check: every pairwise S-polynomial reduces to zero."""
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            if not normal_form(s_polynomial(G[i], G[j]), G).is_zero:
-                return False
-    return True
+def _eliminate(ring: PolyRing, k: int, build):
+    """Generators of (ideal ∩ ring) for the ideal that build(aux) generates.
+
+    aux is `ring` with k fresh variables adjoined in front, ordered
+    block(k).  Each fresh name is a run of underscores that no name of
+    `ring` starts with, then its index, so none can collide with a name
+    of `ring`.  The reduced basis elements free of the fresh block are
+    projected back into `ring`."""
+    run = "_" * (1 + max((len(s) - len(s.lstrip("_")) for s in ring.names), default=0))
+    fresh = tuple(f"{run}{i}" for i in range(k))
+    aux = PolyRing(ring.field, fresh + ring.names, MonomialOrder.block(k))
+    # block(k) ranks any monomial involving the fresh block above every one
+    # free of it, so an element is free of it exactly when its lead is
+    return [
+        ring.poly({m[k:]: c for m, c in g.terms})
+        for g in buchberger(build(aux))
+        if not any(g.leading_monomial[:k])
+    ]
 
 
 def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
-    """Intersection of two polynomial ideals of `ring`.
+    """Intersection of two polynomial ideals of `ring`: eliminates t from
+    t·A + (1-t)·B, with t the one fresh variable."""
 
-    Adjoins an auxiliary variable t in front (block(1) order, so user
-    variable indices are untouched), computes t·A + (1-t)·B, and
-    eliminates t."""
-    aux = "_t"
-    while aux in ring.names:
-        aux = "_" + aux
-    ring2 = PolyRing(ring.field, (aux,) + ring.names, MonomialOrder.block(1))
+    def build(aux):
+        def lift(f):
+            return aux.poly({(0,) + m: c for m, c in f.terms})
 
-    def lift(f):
-        return ring2.poly({(0,) + m: c for m, c in f.terms})
+        t = aux.variable(0)
+        u = aux.one() - t
+        mixed = [t * lift(f) for f in gens_a if not f.is_zero]
+        return mixed + [u * lift(g) for g in gens_b if not g.is_zero]
 
-    t = ring2.variable(0)
-    u = ring2.one() - t
-    mixed = [t * lift(f) for f in gens_a if not f.is_zero]
-    mixed += [u * lift(g) for g in gens_b if not g.is_zero]
-    gb = buchberger(mixed)
-    out = []
-    for h in gb:
-        if all(m[0] == 0 for m, _ in h.terms):
-            out.append(ring.poly({m[1:]: c for m, c in h.terms}))
-    return out
+    return _eliminate(ring, 1, build)
 
 
 def elimination_ideal(gens, k: int):
@@ -271,7 +276,10 @@ def elimination_ideal(gens, k: int):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    ring = gens[0].ring
-    gb = buchberger(gens, order=MonomialOrder.block(k))
-    kept = [g for g in gb if not any(any(m[:k]) for m, _ in g.terms)]
-    return [g.convert(ring) for g in kept]
+    pad = (0,) * k
+
+    def build(aux):
+        # the fresh block stands in for the first k variables, which stay at 0
+        return [aux.poly({m[:k] + pad + m[k:]: c for m, c in g.terms}) for g in gens]
+
+    return _eliminate(gens[0].ring, k, build)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import FFrobError, RingMismatchError
 from .field import PrimeField
 from .groebner import buchberger, normal_form, poly_divexact, poly_ideal_intersect
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import Polynomial, PolyRing
 
 
 class QuotientRing:
@@ -56,15 +56,8 @@ class QuotientRing:
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)
 
-    def zero_ideal(self) -> "Ideal":
-        return Ideal(self, [])
-
     def unit_ideal(self) -> "Ideal":
         return Ideal(self, [self.ambient.one()])
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """Canonical representative of f modulo Q."""
-        return normal_form(f, self._qgb)
 
     def describe(self) -> str:
         base = f"F_{self.field.p}[{','.join(self.names)}]"
@@ -117,11 +110,6 @@ class Ideal:
         if f.ring != self.ring.ambient:
             raise RingMismatchError("element lives in a different ring")
         return normal_form(f, self.groebner).is_zero
-
-    def is_subset(self, other: "Ideal") -> bool:
-        self._check_ring(other)
-        gb = other.groebner
-        return all(normal_form(g, gb).is_zero for g in self.groebner)
 
     @property
     def is_unit(self) -> bool:

@@ -62,7 +62,7 @@ def verdict(n, label, ok, elapsed, budget):
 def test_criterion_1_dual_numbers_corpus():
     t0 = time.monotonic()
     D = make_ring(2, ("x",), ("x^2",))
-    ideals = [D.zero_ideal(), D.ideal([P(D, "x")]), D.unit_ideal()]
+    ideals = [D.ideal([]), D.ideal([P(D, "x")]), D.unit_ideal()]
     ok = True
     for a, b in itertools.combinations(ideals, 2):
         for e in (1, 2):
@@ -78,7 +78,7 @@ def test_criterion_2_counterexample_corpus():
     I, J = R.ideal([P(R, "x")]), R.ideal([P(R, "y")])
     meet = I.intersect(J)
     ok = meet == R.ideal([P(R, "x^2*z")])
-    ok = ok and bracket_power(meet, 1) == R.zero_ideal()
+    ok = ok and bracket_power(meet, 1) == R.ideal([])
     both = bracket_power(I, 1).intersect(bracket_power(J, 1))
     ok = ok and both.contains(P(R, "x^2*z"))
     rep = check_intersection_family(R, [I, J], 1)
@@ -129,7 +129,7 @@ def test_criterion_4_cusp_witness():
     # separator agrees with x^3 modulo the cusp relation (t^6 in the
     # numerical-semigroup picture, pre-verified by the semigroup oracle
     # in test_checks)
-    ok = ok and cusp.reduce(rep3.witness.separator - P(cusp, "x^3")).is_zero
+    ok = ok and cusp.ideal([]).contains(rep3.witness.separator - P(cusp, "x^3"))
     ok = ok and is_reduced(cusp)
     ok = ok and jacobian_regularity_oracle(cusp) == SINGULAR
     verdict(4, "cusp witness", ok, time.monotonic() - t0, 5.0)
@@ -143,8 +143,9 @@ def test_criterion_5_frobenius_root_suite():
     for pos in range(100):
         I = sample_ideal(R, cfg, pos, tag="rootI")
         J = sample_ideal(R, cfg, pos, tag="rootJ")
-        adjoint_lhs = I.is_subset(bracket_power(J, 1))
-        adjoint_rhs = frobenius_root(I, 1).is_subset(J)
+        J2 = bracket_power(J, 1)
+        adjoint_lhs = I + J2 == J2  # I ⊆ J^[2]
+        adjoint_rhs = frobenius_root(I, 1) + J == J
         ok = ok and adjoint_lhs == adjoint_rhs
         ok = ok and frobenius_root(bracket_power(J, 1), 1) == J
 

@@ -69,7 +69,7 @@ def test_check3_passes_on_polynomial_ring():
 
 
 def test_check3_zero_ideal_trivially_passes(cusp):
-    rep = check_principal_intersection(cusp, cusp.zero_ideal(), P(cusp, "y"), 1)
+    rep = check_principal_intersection(cusp, cusp.ideal([]), P(cusp, "y"), 1)
     assert rep.passed
 
 
@@ -87,7 +87,7 @@ def test_cusp_check3_witness_matches_semigroup_oracle(cusp):
     assert not rep.passed
     sep = rep.witness.separator
     # the separator is x^3 up to the cusp relation
-    assert cusp.reduce(sep - P(cusp, "x^3")).is_zero
+    assert cusp.ideal([]).contains(sep - P(cusp, "x^3"))
 
 
 def test_cusp_check4_sides(cusp):
@@ -109,7 +109,7 @@ def test_check4_by_unit_passes(cusp):
 
 def test_check2_dual_numbers_all_pairs():
     D = make_ring(2, ("x",), ("x^2",))
-    ideals = [D.zero_ideal(), D.ideal([P(D, "x")]), D.unit_ideal()]
+    ideals = [D.ideal([]), D.ideal([P(D, "x")]), D.unit_ideal()]
     import itertools
 
     for a, b in itertools.combinations(ideals, 2):

@@ -166,6 +166,21 @@ def test_cli_huge_frobroot_exponent_answers_as_at_32(tmp_path):
     assert huge == at_32 == {"command": "frobroot", "result": ["1"]}
 
 
+def test_cli_ring_names_never_collide_with_fresh_variables(tmp_path):
+    # `__f_x` was the kernel preimage's fresh name for x
+    session = tmp_path / "collide.ffor"
+    session.write_text(
+        "ring p=2 vars=x,__f_x\nideal I = [x^2]\nfkernel I\nreduced\nprobe --count 2\n"
+    )
+    out = _run_cli([str(session)])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "fkernel -> [x]",
+        "reduced -> true",
+        "probe -> NO_WITNESS_FOUND",
+    ]
+
+
 @pytest.mark.parametrize("session", sorted(p.stem for p in SESSIONS.glob("*.ffor")))
 def test_cli_corpus_json_is_byte_identical_to_recording(session):
     exit_codes = json.loads((EXPECTED / "exit_codes.json").read_text(encoding="utf-8"))

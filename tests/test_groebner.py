@@ -10,13 +10,14 @@ from ffrob import (
     MonomialOrder,
     PolyRing,
     PrimeField,
+    QuotientRing,
     buchberger,
     elimination_ideal,
-    is_groebner_basis,
+    frobenius_kernel_preimage,
     normal_form,
     poly_ideal_intersect,
 )
-from ffrob.groebner import poly_divmod
+from ffrob.groebner import poly_divmod, s_polynomial
 
 from oracles import reference_divmod, reference_normal_form, span_membership
 
@@ -73,7 +74,9 @@ def test_every_output_is_a_groebner_basis():
         [x + y, x * y + y * y],
     ):
         gb = buchberger(gens)
-        assert is_groebner_basis(gb)
+        # every pairwise S-polynomial reduces to zero
+        for g, h in itertools.combinations(gb, 2):
+            assert normal_form(s_polynomial(g, h), gb).is_zero
         # reduced: no term of one generator divisible by another's lead
         for g in gb:
             assert g.leading_coeff == 1
@@ -130,6 +133,59 @@ def test_intersection_contains_products(picks):
     # a visible common element must land in the intersection
     common = A[0] * B[0]
     assert normal_form(common, buchberger(meet)).is_zero
+
+
+# --- one elimination routine: the lead filter and the fresh names ---------
+
+_ELIM_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 2), min_size=1, max_size=3
+)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3]), terms=st.lists(_ELIM_TERMS, min_size=1, max_size=3))
+def test_block_lead_decides_whether_an_element_is_eliminated(k, p, terms):
+    ring = PolyRing(PrimeField(p), ("x", "y", "z"))
+    gens = [ring.poly(t) for t in terms]
+    free = []
+    for g in buchberger(gens, order=MonomialOrder.block(k)):
+        involves = any(any(m[:k]) for m, _ in g.terms)
+        assert involves == any(g.leading_monomial[:k])
+        if not involves:
+            free.append(g.convert(ring))
+    assert elimination_ideal(gens, k) == free
+
+
+# Names that were or are fresh names of an elimination: `_t` and `__f_x`
+# before, a run of underscores and an index now.  Each clashing ring is
+# compared with the same exponents in F_p[x,y,z].
+CLASHING_NAMES = [("x", "__f_x", "_t"), ("_", "__", "_0"), ("_0", "__0", "___0")]
+_CUSP = {(0, 2, 0): 1, (3, 0, 0): 1}  # y^2 + x^3
+_I = [{(1, 0, 0): 1}, {(0, 0, 2): 1}]  # (x, z^2)
+_J = [{(0, 1, 0): 1, (0, 0, 1): 1}]  # (y + z)
+_F = {(0, 1, 1): 1}  # y*z
+_K = [{(2, 1, 0): 1}, {(0, 0, 3): 1, (1, 1, 0): 1}]  # (x^2*y, z^3 + x*y)
+
+
+def _eliminations(p, names):
+    field = PrimeField(p)
+    S = PolyRing(field, names)
+    R = QuotientRing(field, names, [S.poly(_CUSP)])
+    I = R.ideal([S.poly(t) for t in _I])
+    J = R.ideal([S.poly(t) for t in _J])
+    K = R.cover().ideal([S.poly(t) for t in _K])
+    ideals = (I.intersect(J), I.colon(S.poly(_F)), frobenius_kernel_preimage(K))
+    out = [[g.terms for g in ideal.gens] for ideal in ideals]
+    out += [[g.terms for g in ideal.groebner] for ideal in ideals]
+    out.append([g.terms for g in elimination_ideal(list(K.gens), 1)])
+    return out
+
+
+@pytest.mark.parametrize("names", CLASHING_NAMES, ids=",".join)
+@pytest.mark.parametrize("p", [2, 3])
+def test_ring_names_never_change_an_elimination(p, names):
+    assert _eliminations(p, names) == _eliminations(p, ("x", "y", "z"))
 
 
 R3 = PolyRing(PrimeField(3), ("x", "y", "z"))
