@@ -5,16 +5,33 @@ form of an ideal; every ideal-level equality test in the package bottoms
 out here.  Pair selection is the normal strategy (minimal lcm degree,
 ties by pair creation index) so the computation is fully deterministic.
 
-Division keeps its working terms in a heap ordered by the monomial
-order's key (Johnson 1974; Monagan & Pearce 2011), so each term's key is
-computed once per division, when the term enters the working set.  A
-term that cancels keeps its heap entry, with coefficient 0, and is
+Inside the kernel a monomial is one Python int and a term is two, the
+monomial and its coefficient (Monagan & Pearce 2007, packed exponent
+vectors).  The low bits hold the exponents, one 33-bit field per
+variable: 32 bits for an exponent below 2^32, and a guard bit on top.
+The high bits hold the order key, a linear function of the exponents
+with one field per variable, most significant first: x_1..x_n for lex;
+for grevlex the degree, then the prefix sums x_1+...+x_{n-1},
+x_1+...+x_{n-2}, ..., x_1; for block(k) x_1..x_k, then grevlex on the
+rest.  Each key field is wide enough for n * (2^32 - 1).  Both parts are
+linear, so a product of monomials is one addition, comparing two packed
+monomials compares them in the order, and lm divides m exactly when
+m - lm has no guard bit set; m - lm is then the cofactor.  A sum of two
+exponents below 2^32 fits in its field, so a product's guard bits show
+whether an exponent reached 2^32, which raises ExponentOverflowError.
+
+One division loop, `_divide`, serves Buchberger's S-polynomial and
+generator reductions, the tail reduction of the final basis, and the
+public `normal_form`.  It keeps its working terms in a heap of negated
+packed monomials, largest first (Johnson 1974; Monagan & Pearce 2011).
+A term that cancels keeps its heap entry, with coefficient 0, and is
 skipped when popped; every term a reduction step adds is smaller than
-the one being reduced, so a monomial never comes back once popped.  S-pairs wait in a
-heap of (lcm degree, creation index), the same order as the normal
-strategy above.  Per-exponent monomial operations (divisibility, lcm,
-coprimality, shifts) are `map` over `operator` functions, so their loops
-over the exponents run in C.
+the one being reduced, so a monomial never comes back once popped.
+S-pairs wait in a heap of (lcm degree, creation index), the same order
+as the normal strategy above.  Polynomials are packed on the way in
+(`normal_form`, `s_polynomial`, `_buchberger_core`) and unpacked on the
+way out, in canonical order, so no result is re-sorted.  `poly_divmod`,
+the one-divisor division with a quotient, stays on exponent tuples.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
 preimages) runs through `_eliminate`, whose fresh variables are named by
@@ -23,11 +40,12 @@ a run of underscores that no name of the caller's ring starts with.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from operator import add, le, mul, sub
+from operator import add, itemgetter, le, mul, sub
 
-from .poly import MonomialOrder, Polynomial, PolyRing
+from .poly import EXP_LIMIT, LEX, MonomialOrder, Polynomial, PolyRing, _overflow
 
 # Reduced bases of the most recent distinct inputs, least recently used
 # first.  The probe's repeats are local (two checks on one (I, x, e)
@@ -45,6 +63,124 @@ def _lc_inverse(g: Polynomial) -> int:
     return 1 if lc == 1 else g.ring.field.inv(lc)
 
 
+_FIELD = EXP_LIMIT.bit_length()  # an exponent below 2^32, then the guard bit
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+class _Packing:
+    """The packed monomials of one monomial order on n variables."""
+
+    __slots__ = ("units", "guard", "shifts")
+
+    def __init__(self, order: MonomialOrder, n: int):
+        # the variables each key field sums, most significant field first:
+        # x_1..x_k alone (k is n for lex, 0 for grevlex), then grevlex
+        k = n if order.kind == LEX else min(order.nblock, n)
+        fields = [range(i, i + 1) for i in range(k)]
+        fields += [range(k, n - j) for j in range(n - k)]
+        base = n * _FIELD
+        width = (n * (EXP_LIMIT - 1)).bit_length()
+        self.shifts = range(0, base, _FIELD)
+        self.guard = sum(1 << (s + _FIELD - 1) for s in self.shifts)
+        # units[i] is x_i packed; packing is linear, so it is all we need
+        self.units = tuple(
+            (1 << self.shifts[i])
+            + sum(1 << (base + width * (n - 1 - f)) for f, var in enumerate(fields) if i in var)
+            for i in range(n)
+        )
+
+    def pack(self, exps) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
+
+    def terms(self, f: Polynomial) -> list:
+        """f's terms, packed, in f's order."""
+        out = []
+        for m, c in f.terms:
+            if m and max(m) >= EXP_LIMIT:
+                _overflow(m)
+            out.append((self.pack(m), c))
+        return out
+
+    def head(self, g: Polynomial):
+        """(leading monomial, tail of g / lc(g)), packed: a divisor of `_divide`."""
+        terms = self.terms(g)
+        p, inv = g.ring.field.p, _lc_inverse(g)
+        return terms[0][0], [(m, c * inv % p) for m, c in terms[1:]]
+
+    def polynomial(self, ring: PolyRing, terms) -> Polynomial:
+        """The polynomial of packed terms given in descending order."""
+        return Polynomial(ring, tuple([(self.unpack(m), c) for m, c in terms]))
+
+    def overflow(self, t: int):
+        """Raise for a packed monomial with a guard bit set."""
+        _overflow(self.unpack(t))
+
+
+# The packings of the most recent (order, number of variables) pairs.
+_packing = functools.lru_cache(maxsize=16)(_Packing)
+
+
+def _divide(work, heads, p: int, pk: _Packing) -> list:
+    """Remainder of the polynomial `work` on division by `heads`.
+
+    work maps packed monomials to coefficients, zeros allowed, and is
+    consumed.  Each head is (leading monomial, monic tail), as built by
+    `_Packing.head`; the first head whose lead divides a term reduces it.
+    Returns the remainder's packed terms in descending order."""
+    guard = pk.guard
+    # every monomial of work has one heap entry; a cancelled term stays in
+    # work with coefficient 0 until it is popped
+    heap = [-m for m in work]
+    heapify(heap)
+    out = []
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m)
+        if not c:
+            continue
+        for head in heads:
+            d = m - head[0]
+            if not d & guard:  # lm divides m, and d is the cofactor
+                for gm, gc in head[1]:
+                    t = gm + d
+                    v = work.get(t)
+                    if v is None:
+                        if t & guard:
+                            pk.overflow(t)
+                        heappush(heap, -t)
+                        v = 0
+                    work[t] = (v - c * gc) % p
+                break
+        else:
+            out.append((m, c))
+    return out
+
+
+def _spair(lcm: int, a, b, p: int, pk: _Packing) -> dict:
+    """S-polynomial of the heads a and b, whose leads divide lcm, as the
+    work of `_divide`: the leads cancel and are left out."""
+    guard = pk.guard
+    ua, ub = lcm - a[0], lcm - b[0]
+    work = {}
+    for m, c in a[1]:
+        t = m + ua
+        if t & guard:
+            pk.overflow(t)
+        work[t] = c
+    for m, c in b[1]:
+        t = m + ub
+        v = work.get(t)
+        if v is None:
+            if t & guard:
+                pk.overflow(t)
+            v = 0
+        work[t] = (v - c) % p
+    return work
+
+
 def normal_form(f: Polynomial, basis) -> Polynomial:
     """Fully reduced remainder of f on division by the basis.
 
@@ -55,36 +191,9 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if f.is_zero or not basis:
         return f
     ring = f.ring
-    key = ring.order.key
-    p = ring.field.p
-    heads = [(g.leading_monomial, _lc_inverse(g), g.terms[1:]) for g in basis]
-    # every monomial of work has one heap entry; a cancelled term stays in
-    # work with coefficient 0 until it is popped
-    work = dict(f.terms)
-    heap = [(key(m), m) for m in work]
-    heapify(heap)
-    out = {}
-    while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m)
-        if not c:
-            continue
-        for lm, lcinv, tail in heads:
-            if all(map(le, lm, m)):  # lm divides m
-                fc = c * lcinv % p
-                shift = tuple(map(sub, m, lm))
-                for gm, gc in tail:
-                    t = tuple(map(add, gm, shift))
-                    v = work.get(t)
-                    if v is None:
-                        heappush(heap, (key(t), t))
-                        v = 0
-                    work[t] = (v - fc * gc) % p
-                break
-        else:
-            out[m] = c
-    # terms left the heap largest first, so out is already in canonical order
-    return Polynomial(ring, tuple(out.items()))
+    pk = _packing(ring.order, ring.nvars)
+    heads = [pk.head(g) for g in basis]
+    return pk.polynomial(ring, _divide(dict(pk.terms(f)), heads, ring.field.p, pk))
 
 
 def poly_divmod(f: Polynomial, g: Polynomial):
@@ -95,7 +204,7 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     key = ring.order.key
     lm, lcinv = g.leading_monomial, _lc_inverse(g)
     tail = g.terms[1:]
-    work = dict(f.terms)  # as in normal_form: one heap entry per monomial
+    work = dict(f.terms)  # as in _divide: one heap entry per monomial
     heap = [(key(m), m) for m in work]
     heapify(heap)
     quot = []
@@ -130,10 +239,11 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    lcm = tuple(map(max, f.leading_monomial, g.leading_monomial))
-    uf = tuple(map(sub, lcm, f.leading_monomial))
-    ug = tuple(map(sub, lcm, g.leading_monomial))
-    return f.mul_term(_lc_inverse(f), uf) - g.mul_term(_lc_inverse(g), ug)
+    ring = f.ring
+    pk = _packing(ring.order, ring.nvars)
+    lcm = pk.pack(map(max, f.leading_monomial, g.leading_monomial))
+    work = _spair(lcm, pk.head(f), pk.head(g), ring.field.p, pk)
+    return pk.polynomial(ring, sorted([t for t in work.items() if t[1]], reverse=True))
 
 
 def buchberger(gens, order: MonomialOrder | None = None):
@@ -170,67 +280,71 @@ def buchberger(gens, order: MonomialOrder | None = None):
 def _buchberger_core(gens):
     """Reduced Groebner basis of nonzero generators of one ring, in the
     order given; no memo."""
-    G = []
-    for g in gens:
-        h = normal_form(g, G)
-        if not h.is_zero:
-            G.append(h.monic())
-    lms = [g.leading_monomial for g in G]  # lms[k] is G[k]'s, as G grows
+    ring = gens[0].ring
+    p = ring.field.p
+    pk = _packing(ring.order, ring.nvars)
+    guard = pk.guard
+    G = []  # the basis as heads of `_divide`: monic, packed
+    leads = []  # leads[k] is G[k]'s leading exponent tuple
     # normal strategy: smallest lcm degree first, ties by creation order
     pairs = []
     serial = 0
     treated = set()
 
-    def add_pairs(j):
+    def adjoin(rem):
         nonlocal serial
-        lmj = lms[j]
+        lm, lc = rem[0]
+        inv = 1 if lc == 1 else ring.field.inv(lc)
+        lead = pk.unpack(lm)
+        j = len(G)
         for i in range(j):
-            heappush(pairs, (sum(map(max, lms[i], lmj)), serial, i, j))
+            heappush(pairs, (sum(map(max, leads[i], lead)), serial, i, j))
             serial += 1
+        G.append((lm, [(m, c * inv % p) for m, c in rem[1:]]))
+        leads.append(lead)
 
-    for j in range(len(G)):
-        add_pairs(j)
+    for g in gens:
+        rem = _divide(dict(pk.terms(g)), G, p, pk)
+        if rem:
+            adjoin(rem)
 
     while pairs:
         _, _, i, j = heappop(pairs)
         treated.add((i, j))
-        lmi, lmj = lms[i], lms[j]
-        if not any(map(mul, lmi, lmj)):  # coprime leading monomials
+        lti, ltj = leads[i], leads[j]
+        if not any(map(mul, lti, ltj)):  # coprime leading monomials
             continue
-        lcm = tuple(map(max, lmi, lmj))
+        lcm = pk.pack(map(max, lti, ltj))
         # chain criterion: some k divides the lcm and both chained pairs are done
-        for k, lmk in enumerate(lms):
-            if k != i and k != j and all(map(le, lmk, lcm)):
+        for k, (lmk, _) in enumerate(G):
+            if not (lcm - lmk) & guard and k != i and k != j:
                 a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
                 if a in treated and b in treated:
                     break
         else:
-            h = normal_form(s_polynomial(G[i], G[j]), G)
-            if not h.is_zero:
-                G.append(h.monic())
-                lms.append(G[-1].leading_monomial)
-                add_pairs(len(G) - 1)
-    return _reduce_basis(G)
+            rem = _divide(_spair(lcm, G[i], G[j], p, pk), G, p, pk)
+            if rem:
+                adjoin(rem)
+    return _reduce_basis(ring, G, pk)
 
 
-def _reduce_basis(G):
-    """Minimize and tail-reduce a Groebner basis into the reduced basis."""
-    if not G:
-        return []
-    key = G[0].ring.order.key
-    # drop generators whose leading monomial is divisible by another's: in
-    # ascending order a divisor, never bigger, is met first, so one pass
-    # against the kept ones suffices (of equal ones the first is kept)
-    reduced = []
-    for g in sorted(G, key=lambda g: key(g.leading_monomial), reverse=True):
-        lm = g.leading_monomial
-        if not any(all(map(le, h.leading_monomial, lm)) for h in reduced):
-            reduced.append(g)
-    # tail-reduce each against the rest
-    for i in range(len(reduced)):
-        reduced[i] = normal_form(reduced[i], reduced[:i] + reduced[i + 1 :]).monic()
-    reduced.sort(key=lambda g: key(g.leading_monomial))
-    return reduced
+def _reduce_basis(ring: PolyRing, G, pk: _Packing):
+    """Minimize and tail-reduce the heads of a Groebner basis into the
+    reduced basis, as polynomials in descending order of their leads."""
+    guard = pk.guard
+    # drop heads whose lead is divisible by another's: in ascending order a
+    # divisor, never bigger, is met first, so one pass against the kept
+    # ones suffices (the leads of G are distinct)
+    kept = []
+    for head in sorted(G, key=itemgetter(0)):
+        if all((head[0] - lm) & guard for lm, _ in kept):
+            kept.append(head)
+    # tail-reduce each against the rest; no other lead divides its lead
+    p = ring.field.p
+    for i, (lm, tail) in enumerate(kept):
+        kept[i] = (lm, _divide(dict(tail), kept[:i] + kept[i + 1 :], p, pk))
+    kept.sort(key=itemgetter(0), reverse=True)
+    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in kept]
 
 
 def _eliminate(ring: PolyRing, k: int, build):

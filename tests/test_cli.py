@@ -130,6 +130,19 @@ def test_cli_oversized_bracket_exponent_is_an_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_cli_division_past_the_exponent_budget_is_an_error(tmp_path):
+    # reducing u by y + x replaces y with x, which makes x^(2^32)
+    session = tmp_path / "budget.ffor"
+    session.write_text(
+        "ring p=2 vars=y,x quotient=[y+x]\nideal I = []\nelem u = x^4294967295*y\nmember u I\n"
+    )
+    out = _run_cli([str(session)])
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("ffor: error: exponent 4294967296 exceeds 2^32")
+    assert "Traceback" not in out.stderr
+
+
 def test_cli_negative_default_count_is_an_error():
     out = _run_cli([str(SESSIONS / "polyring.ffor"), "--count", "-5"])
     assert out.returncode == 1

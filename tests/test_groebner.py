@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from collections import OrderedDict
 
@@ -7,14 +8,18 @@ from hypothesis import strategies as st
 
 from ffrob import groebner
 from ffrob import (
+    ExponentOverflowError,
     MonomialOrder,
     PolyRing,
     PrimeField,
     QuotientRing,
     buchberger,
     elimination_ideal,
+    fedder_is_fpure,
     frobenius_kernel_preimage,
+    is_reduced,
     normal_form,
+    parse_polynomial,
     poly_ideal_intersect,
 )
 from ffrob.groebner import poly_divmod, s_polynomial
@@ -318,3 +323,160 @@ def test_division_when_a_cancelled_term_reappears(p, order, f, g):
 )
 def test_heap_division_matches_max_driven_reference(order, p, f, basis):
     _check_division(p, order, f, basis)
+
+
+# --- the exponent budget in division and S-polynomials -------------------
+
+BUDGET = 2**32 - 1  # the largest exponent a monomial may carry
+
+
+def test_division_and_s_polynomials_keep_the_exponent_budget():
+    ring = PolyRing(F2, ("y", "x"))
+    y, x = ring.variables()
+    # x^(2^32 - 1) * y reduces by y + x to x^(2^32)
+    with pytest.raises(ExponentOverflowError, match=r"^exponent 4294967296 exceeds 2\^32$"):
+        normal_form(ring.monomial((1, BUDGET)), [y + x])
+    assert normal_form(ring.monomial((1, BUDGET - 1)), [y + x]) == ring.monomial((0, BUDGET))
+    # the lcm of y*x^(2^32 - 1) and y^2 is y^2*x^(2^32 - 1); the cofactor of
+    # y^2 + x shifts x to x^(2^32)
+    for f, g in itertools.permutations([ring.monomial((1, BUDGET)), y * y + x]):
+        with pytest.raises(ExponentOverflowError, match="exceeds 2"):
+            s_polynomial(f, g)
+    with pytest.raises(ExponentOverflowError, match="exceeds 2"):
+        buchberger([ring.monomial((1, BUDGET)), y + x])
+    # a polynomial built past the budget is refused as input too
+    with pytest.raises(ExponentOverflowError):
+        normal_form(ring.monomial((0, BUDGET + 1)), [y])
+
+
+# --- the packed form against the tuple form -------------------------------
+
+
+def _orders(n):
+    return [MonomialOrder.lex(), MonomialOrder.grevlex()] + [
+        MonomialOrder.block(k) for k in range(n + 1)
+    ]
+
+
+# small exponents make ties in degree and in prefix sums likely; the ends
+# of the budget exercise the widest fields
+_EXPONENT = st.one_of(
+    st.integers(0, 3), st.sampled_from([BUDGET - 1, BUDGET]), st.integers(0, BUDGET)
+)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_monomials_match_the_tuple_form(n, data):
+    a = data.draw(st.tuples(*[_EXPONENT] * n))
+    shift = data.draw(st.tuples(*[_EXPONENT] * n))
+    # b is a multiple of a, so that divisibility holds as often as not, or
+    # a with its exponents after position i permuted, so that b ties with a
+    # on x_1..x_i and on the degree of the rest, as block(i) and grevlex
+    # compare them
+    i = data.draw(st.integers(0, n))
+    permuted = a[:i] + tuple(data.draw(st.permutations(a[i:])))
+    multiple = tuple(min(x + s, BUDGET) for x, s in zip(a, shift))
+    b = data.draw(st.sampled_from([shift, multiple, permuted]))
+    for order in _orders(n):
+        pk = groebner._packing(order, n)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a and pk.unpack(pb) == b
+        ka, kb = order.key(a), order.key(b)
+        # a bigger monomial has a smaller tuple key and a bigger packed one
+        assert (pa > pb) == (ka < kb) and (pa == pb) == (ka == kb)
+        assert (not (pb - pa) & pk.guard) == all(x <= y for x, y in zip(a, b))
+        assert (not (pa - pb) & pk.guard) == all(x >= y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_key_fields_hold_their_largest_sums(n):
+    # each key field sums up to n exponents; if one overflowed into the next,
+    # (1, 0, ..., 0) would rank below (0, 2^32 - 1, ..., 2^32 - 1) under block(1)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    monomials = units + [
+        (0,) * n,
+        (BUDGET,) * n,
+        (0,) + (BUDGET,) * (n - 1),
+        (BUDGET,) * (n - 1) + (0,),
+        (BUDGET - 1,) + (BUDGET,) * (n - 1),
+    ] + [tuple(BUDGET * e for e in u) for u in units]
+    for order in _orders(n):
+        pk = groebner._packing(order, n)
+        ranked = sorted(monomials, key=pk.pack, reverse=True)
+        assert ranked == sorted(monomials, key=order.key)
+
+
+# --- edge rings ------------------------------------------------------------
+
+
+def test_zero_variable_ring():
+    F3 = PrimeField(3)
+    ring = PolyRing(F3, ())
+    one, two = ring.one(), ring.constant(2)
+    assert buchberger([two]) == [one]
+    assert normal_form(two, [one]).is_zero
+    assert normal_form(two, []) == two
+    assert s_polynomial(two, one).is_zero
+    Q = QuotientRing(F3, ())
+    assert Q.unit_ideal().contains(two)
+    assert not Q.ideal([]).contains(two)
+    assert Q.ideal([]).contains(ring.zero())
+
+
+def test_twelve_variables_at_the_exponent_budget():
+    ring = PolyRing(PrimeField(5), tuple(f"x{i}" for i in range(12)))
+    xs = ring.variables()
+
+    def power(i, e=BUDGET):
+        exps = [0] * 12
+        exps[i] = e
+        return ring.monomial(exps)
+
+    # the leads x_i^(2^32 - 1) are pairwise coprime, so the reduced basis is
+    # the chain tail-reduced down to x_11^(2^32 - 1)
+    chain = [power(i) - power(i + 1) for i in range(11)]
+    gb = buchberger(chain)
+    assert gb == [power(i) - power(11) for i in range(11)]
+    assert normal_form(power(0), gb) == power(11)
+    assert QuotientRing(ring.field, ring.names).ideal(chain).contains(power(3) - power(7))
+    # x_0^(2^32 - 1) * x_11 reduces to x_11^(2^32)
+    with pytest.raises(ExponentOverflowError):
+        normal_form(power(0) * xs[11], gb)
+    # a lead of degree 12 * (2^32 - 1) fills every key field; its S-pair
+    # with x0*x1 has the lead itself as lcm
+    top = ring.monomial([BUDGET] * 12)
+    assert buchberger([top + xs[1], xs[0] * xs[1]]) == [xs[1]]
+    assert buchberger([top + xs[1]]) == [top + xs[1]]
+    assert normal_form(top + power(2, 5), [xs[0] * xs[1]]) == power(2, 5)
+
+
+# --- a pinned run of the frobenius-highp kernel ---------------------------
+
+# sha256 of the reduced bases of every uncached Buchberger run made by
+# is_reduced and fedder_is_fpure on F_5[x,y,z,w]/(xy - zw, x^2 - yw), in
+# call order, each as (order, number of variables, term tuples); recorded
+# with the exponent-tuple kernel that the packed one replaced
+HIGHP_BASES_SHA256 = "1047b76ab10ba4f2d576c61cc7d2b7f5568d390be6c8b5f01e3b4c8cdf70b71d"
+
+
+def test_highp_bases_match_the_recorded_digest(memo, monkeypatch):
+    field = PrimeField(5)
+    names = ("x", "y", "z", "w")
+    S = PolyRing(field, names)
+    R = QuotientRing(field, names, [parse_polynomial(t, S) for t in ("x*y - z*w", "x^2 - y*w")])
+    bases = []
+    core = groebner._buchberger_core
+
+    def recording_core(gens):
+        basis = core(gens)
+        ring = gens[0].ring
+        bases.append((repr(ring.order), ring.nvars, [g.terms for g in basis]))
+        return basis
+
+    monkeypatch.setattr(groebner, "_buchberger_core", recording_core)
+    assert is_reduced(R) is True
+    assert fedder_is_fpure(R) is False
+    assert (len(bases), max(len(b[2]) for b in bases)) == (7, 28)
+    assert hashlib.sha256(repr(bases).encode()).hexdigest() == HIGHP_BASES_SHA256

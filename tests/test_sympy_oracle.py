@@ -1,12 +1,14 @@
 """Reduced Groebner bases checked against sympy, which shares no code with
 ffrob: random ideals over F_p for p in {2, 3, 5, 7}, up to four variables,
-under lex and grevlex (sympy has no block order)."""
+under lex and grevlex.  sympy has no block order, so block(k) is checked
+through elimination: the elements of sympy's lex basis free of the first
+k variables generate the same ideal as `elimination_ideal(gens, k)`."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffrob import MonomialOrder, PolyRing, PrimeField, buchberger
+from ffrob import MonomialOrder, PolyRing, PrimeField, buchberger, elimination_ideal
 
 from oracles import order_key
 
@@ -17,9 +19,9 @@ ORDERS = {"lex": MonomialOrder.lex(), "grevlex": MonomialOrder.grevlex()}
 
 
 @st.composite
-def ideals(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7]))
-    nvars = draw(st.integers(1, 4))
+def ideals(draw, primes=(2, 3, 5, 7), min_vars=1):
+    p = draw(st.sampled_from(primes))
+    nvars = draw(st.integers(min_vars, 4))
     term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(1, p - 1))
     gens = draw(st.lists(st.lists(term, min_size=1, max_size=3), min_size=1, max_size=3))
     return p, nvars, [dict(g) for g in gens]
@@ -33,10 +35,15 @@ def sympy_reduced_basis(gens, p, nvars, order_name):
         sum(c * sympy.Mul(*(s**e for s, e in zip(symbols, m))) for m, c in g.items())
         for g in gens
     ]
-    basis = sympy.groebner(exprs, *symbols, modulus=p, order=order_name)
+    return monic_term_sets(sympy.groebner(exprs, *symbols, modulus=p, order=order_name), p, order_name)
+
+
+def monic_term_sets(basis, p, order_name, pad=0):
+    """A sympy basis as a set of monic term tuples with coefficients in
+    [0, p); pad zero exponents go in front of each monomial."""
     out = set()
     for poly in basis.polys:
-        terms = {m: int(c) % p for m, c in poly.terms() if int(c) % p}
+        terms = {(0,) * pad + m: int(c) % p for m, c in poly.terms() if int(c) % p}
         if not terms:
             continue
         lead = max(terms, key=lambda m: order_key(ORDERS[order_name], m))
@@ -55,5 +62,29 @@ def test_buchberger_matches_sympy(order_name, case):
     ring = PolyRing(PrimeField(p), NAMES[:nvars], ORDERS[order_name])
     ours = buchberger([ring.poly(g) for g in gens])
     want = sympy_reduced_basis(gens, p, nvars, order_name)
+    assert len(ours) == len(want)
+    assert {frozenset(g.terms) for g in ours} == want
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_elimination_matches_sympy_lex_basis(k, data):
+    p, nvars, gens = data.draw(ideals(primes=(2, 3, 5), min_vars=k + 1))
+    symbols = sympy.symbols(NAMES[:nvars])
+    exprs = [
+        sum(c * sympy.Mul(*(s**e for s, e in zip(symbols, m))) for m, c in g.items())
+        for g in gens
+    ]
+    lex = sympy.groebner(exprs, *symbols, modulus=p, order="lex")
+    # a lex basis, cut to the elements free of x_1..x_k, is a lex basis of
+    # the elimination ideal; both sides are compared as reduced grevlex bases
+    free = [g.as_expr() for g in lex.polys if not any(any(m[:k]) for m in g.monoms())]
+    want = set()
+    if free:
+        rest = sympy.groebner(free, *symbols[k:], modulus=p, order="grevlex")
+        want = monic_term_sets(rest, p, "grevlex", pad=k)
+    ring = PolyRing(PrimeField(p), NAMES[:nvars], ORDERS["grevlex"])
+    ours = buchberger(elimination_ideal([ring.poly(g) for g in gens], k))
     assert len(ours) == len(want)
     assert {frozenset(g.terms) for g in ours} == want
