@@ -69,20 +69,13 @@ def frobenius_kernel_preimage(J: Ideal) -> Ideal:
             "Frobenius kernel preimages need a polynomial ambient ring"
         )
     S = J.ring.ambient
-    n = S.nvars
-    p = S.field.p
-
-    def build(big):
-        gens = [big.poly({m + (0,) * n: c for m, c in g.terms}) for g in J.gens]
-        for i in range(n):
-            xi_p = [0] * (2 * n)
-            xi_p[i] = p
-            yi = [0] * (2 * n)
-            yi[n + i] = 1
-            gens.append(big.poly({tuple(yi): 1, tuple(xi_p): p - 1}))
-        return gens
-
-    return Ideal(J.ring, _eliminate(S, n, build))
+    n, p = S.nvars, S.field.p
+    pad = (0,) * n
+    gens = [[(m + pad, c) for m, c in g.terms] for g in J.gens]
+    for i in range(n):  # y_i - x_i^p
+        x, y = pad[:i] + (p,) + pad[i + 1 :], pad[:i] + (1,) + pad[i + 1 :]
+        gens.append([(pad + y, 1), (x + pad, p - 1)])
+    return Ideal(J.ring, _eliminate(S, n, gens))
 
 
 @dataclass(frozen=True)

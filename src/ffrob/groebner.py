@@ -35,7 +35,9 @@ the one-divisor division with a quotient, stays on exponent tuples.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
 preimages) runs through `_eliminate`, whose fresh variables are named by
-a run of underscores that no name of the caller's ring starts with.
+a run of underscores that no name of the caller's ring starts with.  It
+takes (exponent tuple, coefficient) term lists in any order and sorts
+them by packed monomial: under block(k) in, under the ring's order out.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import add, itemgetter, le, mul, sub
 
 from .poly import EXP_LIMIT, LEX, MonomialOrder, Polynomial, PolyRing, _overflow
@@ -95,10 +98,10 @@ class _Packing:
     def unpack(self, m: int) -> tuple:
         return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
 
-    def terms(self, f: Polynomial) -> list:
-        """f's terms, packed, in f's order."""
+    def terms(self, terms) -> list:
+        """The (exponent tuple, coefficient) terms, packed, in their order."""
         out = []
-        for m, c in f.terms:
+        for m, c in terms:
             if m and max(m) >= EXP_LIMIT:
                 _overflow(m)
             out.append((self.pack(m), c))
@@ -106,13 +109,20 @@ class _Packing:
 
     def head(self, g: Polynomial):
         """(leading monomial, tail of g / lc(g)), packed: a divisor of `_divide`."""
-        terms = self.terms(g)
+        terms = self.terms(g.terms)
         p, inv = g.ring.field.p, _lc_inverse(g)
         return terms[0][0], [(m, c * inv % p) for m, c in terms[1:]]
 
     def polynomial(self, ring: PolyRing, terms) -> Polynomial:
         """The polynomial of packed terms given in descending order."""
         return Polynomial(ring, tuple([(self.unpack(m), c) for m, c in terms]))
+
+    def sort(self, ring: PolyRing, terms) -> Polynomial:
+        """The polynomial of a list of (exponent tuple, coefficient) terms in
+        any order, with distinct monomials and nonzero coefficients."""
+        if max(chain.from_iterable(map(itemgetter(0), terms)), default=0) >= EXP_LIMIT:
+            _overflow(chain.from_iterable(map(itemgetter(0), terms)))
+        return Polynomial(ring, tuple(sorted(terms, key=lambda t: self.pack(t[0]), reverse=True)))
 
     def overflow(self, t: int):
         """Raise for a packed monomial with a guard bit set."""
@@ -193,7 +203,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     ring = f.ring
     pk = _packing(ring.order, ring.nvars)
     heads = [pk.head(g) for g in basis]
-    return pk.polynomial(ring, _divide(dict(pk.terms(f)), heads, ring.field.p, pk))
+    return pk.polynomial(ring, _divide(dict(pk.terms(f.terms)), heads, ring.field.p, pk))
 
 
 def poly_divmod(f: Polynomial, g: Polynomial):
@@ -304,7 +314,7 @@ def _buchberger_core(gens):
         leads.append(lead)
 
     for g in gens:
-        rem = _divide(dict(pk.terms(g)), G, p, pk)
+        rem = _divide(dict(pk.terms(g.terms)), G, p, pk)
         if rem:
             adjoin(rem)
 
@@ -347,22 +357,23 @@ def _reduce_basis(ring: PolyRing, G, pk: _Packing):
     return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in kept]
 
 
-def _eliminate(ring: PolyRing, k: int, build):
-    """Generators of (ideal ∩ ring) for the ideal that build(aux) generates.
+def _eliminate(ring: PolyRing, k: int, gens):
+    """Generators of (ideal ∩ ring) for the ideal that gens generate.
 
-    aux is `ring` with k fresh variables adjoined in front, ordered
-    block(k).  Each fresh name is a run of underscores that no name of
-    `ring` starts with, then its index, so none can collide with a name
-    of `ring`.  The reduced basis elements free of the fresh block are
-    projected back into `ring`."""
+    gens are term lists, as `_Packing.sort` takes them, of aux: `ring`
+    with k fresh variables adjoined in front, ordered block(k).  Each fresh
+    name is a run of underscores that no name of `ring` starts with, then
+    its index, so none can collide with a name of `ring`.  The reduced
+    basis elements free of the fresh block are projected back into `ring`."""
     run = "_" * (1 + max((len(s) - len(s.lstrip("_")) for s in ring.names), default=0))
     fresh = tuple(f"{run}{i}" for i in range(k))
     aux = PolyRing(ring.field, fresh + ring.names, MonomialOrder.block(k))
+    lift, drop = _packing(aux.order, aux.nvars), _packing(ring.order, ring.nvars)
     # block(k) ranks any monomial involving the fresh block above every one
     # free of it, so an element is free of it exactly when its lead is
     return [
-        ring.poly({m[k:]: c for m, c in g.terms})
-        for g in buchberger(build(aux))
+        drop.sort(ring, [(m[k:], c) for m, c in g.terms])
+        for g in buchberger([lift.sort(aux, terms) for terms in gens])
         if not any(g.leading_monomial[:k])
     ]
 
@@ -370,17 +381,11 @@ def _eliminate(ring: PolyRing, k: int, build):
 def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
     """Intersection of two polynomial ideals of `ring`: eliminates t from
     t·A + (1-t)·B, with t the one fresh variable."""
-
-    def build(aux):
-        def lift(f):
-            return aux.poly({(0,) + m: c for m, c in f.terms})
-
-        t = aux.variable(0)
-        u = aux.one() - t
-        mixed = [t * lift(f) for f in gens_a if not f.is_zero]
-        return mixed + [u * lift(g) for g in gens_b if not g.is_zero]
-
-    return _eliminate(ring, 1, build)
+    p = ring.field.p
+    mixed = [[((1,) + m, c) for m, c in f.terms] for f in gens_a]
+    for g in gens_b:
+        mixed.append([t for m, c in g.terms for t in (((1,) + m, -c % p), ((0,) + m, c))])
+    return _eliminate(ring, 1, mixed)
 
 
 def elimination_ideal(gens, k: int):
@@ -390,10 +395,7 @@ def elimination_ideal(gens, k: int):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
+    # the fresh block stands in for the first k variables, which stay at 0
     pad = (0,) * k
-
-    def build(aux):
-        # the fresh block stands in for the first k variables, which stay at 0
-        return [aux.poly({m[:k] + pad + m[k:]: c for m, c in g.terms}) for g in gens]
-
-    return _eliminate(gens[0].ring, k, build)
+    lifted = [[(m[:k] + pad + m[k:], c) for m, c in g.terms] for g in gens]
+    return _eliminate(gens[0].ring, k, lifted)

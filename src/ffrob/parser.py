@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
-from .poly import Polynomial, PolyRing
+from .errors import ExponentOverflowError, ParseError
+from .poly import EXP_LIMIT, Polynomial, PolyRing
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
 
@@ -88,6 +88,10 @@ class _Parser:
                 raise ParseError("'^' needs a positive integer exponent")
             self.take()
             n = tok[1]
+            # f^n holds x_i^(n*e_i) (F_p[x] is a domain): fail before squaring
+            e = max([x for m, _ in base.terms for x in m], default=0)
+            if e and n * e >= EXP_LIMIT:
+                raise ExponentOverflowError(f"exponent {n * e} exceeds 2^32")
             result = self.ring.one()
             acc = base
             while n:

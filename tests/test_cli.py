@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from ffrob import ParseError, PolyRing, PrimeField, parse_polynomial
+from ffrob import ExponentOverflowError, ParseError, PolyRing, PrimeField, parse_polynomial
 from ffrob.cli import parse_session, run_session
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,6 +142,28 @@ def test_cli_division_past_the_exponent_budget_is_an_error(tmp_path):
     assert out.stdout == ""
     assert out.stderr.startswith("ffor: error: exponent 4294967296 exceeds 2^32")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "expr, exponent", [("(x+y+1)^4294967296", 4294967296), ("x^99999999999", 99999999999)]
+)
+def test_cli_power_past_the_exponent_budget_fails_before_multiplying(tmp_path, expr, exponent):
+    # f^n holds x_i^(n*e_i), so the budget is checked before any squaring;
+    # otherwise the first power squares dense polynomials up to degree 2^31
+    R3 = PolyRing(PrimeField(3), ("x", "y"))
+    start = time.perf_counter()
+    with pytest.raises(ExponentOverflowError, match=f"^exponent {exponent} exceeds"):
+        parse_polynomial(expr, R3)
+    assert time.perf_counter() - start < 1
+    session = tmp_path / "power.ffor"
+    session.write_text(f"ring p=3 vars=x,y\nelem u = {expr}\n")
+    cmd = [sys.executable, "-m", "ffrob.cli", str(session)]
+    out = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr == f"ffor: error: line 2: exponent {exponent} exceeds 2^32\n"
+    # the largest power in budget still parses
+    top = parse_polynomial("(x*y^2)^2147483647", R5)
+    assert top == R5.monomial((2147483647, 4294967294))
 
 
 def test_cli_negative_default_count_is_an_error():

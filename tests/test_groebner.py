@@ -11,6 +11,7 @@ from ffrob import (
     ExponentOverflowError,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     PrimeField,
     QuotientRing,
     buchberger,
@@ -24,7 +25,7 @@ from ffrob import (
 )
 from ffrob.groebner import poly_divmod, s_polynomial
 
-from oracles import reference_divmod, reference_normal_form, span_membership
+from oracles import order_key, reference_divmod, reference_normal_form, span_membership
 
 F2 = PrimeField(2)
 R = PolyRing(F2, ("x", "y"))
@@ -191,6 +192,57 @@ def _eliminations(p, names):
 @pytest.mark.parametrize("p", [2, 3])
 def test_ring_names_never_change_an_elimination(p, names):
     assert _eliminations(p, names) == _eliminations(p, ("x", "y", "z"))
+
+
+def test_eliminations_keep_the_exponent_budget():
+    # ring.poly does not check the budget; every elimination must
+    S = QuotientRing(PrimeField(3), ("x", "y", "z"))
+    _, y, z = S.ambient.variables()
+    over = S.ideal([S.ambient.poly({(2**32, 0, 0): 1}) + z])
+    fine = S.ideal([y])
+    for run in (
+        lambda: over.intersect(fine),
+        lambda: fine.intersect(over),
+        lambda: over.colon(y),
+        lambda: frobenius_kernel_preimage(over),
+    ):
+        with pytest.raises(ExponentOverflowError, match=r"^exponent 4294967296 exceeds 2\^32$"):
+            run()
+
+
+def _is_canonical(f):
+    keys = [order_key(f.ring.order, m) for m, _ in f.terms]
+    return all(a > b for a, b in zip(keys, keys[1:])) and all(c for _, c in f.terms)
+
+
+def test_eliminations_build_generators_without_re_sorting(core_calls):
+    # the builders hand term lists to _eliminate, which orders them by
+    # packed key: no canonicalizing, multiplying or tuple keys on the way,
+    # and every polynomial in and out is still in canonical order
+    S = QuotientRing(PrimeField(3), ("x", "y", "z"))
+    x, y, z = S.ambient.variables()
+    I = S.ideal([x * x + y * z, x * y * y + z.scale(2)])
+    J = S.ideal([y + z, x * z])
+    K = S.ideal([x * x * y, z * z * z + x * y])
+    calls = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in ((PolyRing, "poly"), (Polynomial, "__mul__"), (MonomialOrder, "key")):
+
+            def counting(*args, _original=getattr(cls, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            mp.setattr(cls, name, counting)
+        meet = I.intersect(J)
+        root = frobenius_kernel_preimage(K)
+    assert calls == {}
+    assert len(core_calls) == 2
+    assert all(_is_canonical(g) for gens in core_calls for g in gens)
+    assert all(_is_canonical(g) for g in meet.gens + root.gens)
+    assert all(I.contains(g) and J.contains(g) for g in meet.gens)
+    assert all(meet.contains(g * h) for g in I.gens for h in J.gens)
+    assert all(K.contains(g.frobenius_power(1)) for g in root.gens)
+    assert root.gens and root.contains(x * y)  # (x*y)^3 = x^2*y * x*y^2
 
 
 R3 = PolyRing(PrimeField(3), ("x", "y", "z"))
