@@ -6,32 +6,22 @@ out here.  Pair selection is the normal strategy (minimal lcm degree,
 ties by pair creation index) so the computation is fully deterministic.
 
 Inside the kernel a monomial is one Python int and a term is two, the
-monomial and its coefficient (Monagan & Pearce 2007, packed exponent
-vectors).  The low bits hold the exponents, one 33-bit field per
-variable: 32 bits for an exponent below 2^32, and a guard bit on top.
-The high bits hold the order key, a linear function of the exponents
-with one field per variable, most significant first: x_1..x_n for lex;
-for grevlex the degree, then the prefix sums x_1+...+x_{n-1},
-x_1+...+x_{n-2}, ..., x_1; for block(k) x_1..x_k, then grevlex on the
-rest.  Each key field is wide enough for n * (2^32 - 1).  Both parts are
-linear, so a product of monomials is one addition, comparing two packed
-monomials compares them in the order, and lm divides m exactly when
-m - lm has no guard bit set; m - lm is then the cofactor.  A sum of two
-exponents below 2^32 fits in its field, so a product's guard bits show
-whether an exponent reached 2^32, which raises ExponentOverflowError.
+monomial and its coefficient: the packing of `ffrob.poly`, which defines
+the order.
 
 One division loop, `_divide`, serves Buchberger's S-polynomial and
 generator reductions, the tail reduction of the final basis, and the
-public `normal_form`.  It keeps its working terms in a heap of negated
-packed monomials, largest first (Johnson 1974; Monagan & Pearce 2011).
-A term that cancels keeps its heap entry, with coefficient 0, and is
-skipped when popped; every term a reduction step adds is smaller than
-the one being reduced, so a monomial never comes back once popped.
-S-pairs wait in a heap of (lcm degree, creation index), the same order
-as the normal strategy above.  Polynomials are packed on the way in
-(`normal_form`, `s_polynomial`, `_buchberger_core`) and unpacked on the
-way out, in canonical order, so no result is re-sorted.  `poly_divmod`,
-the one-divisor division with a quotient, stays on exponent tuples.
+public `normal_form`; `poly_divmod`, the one-divisor division with a
+quotient, is the same loop recording the quotient.  Each keeps its
+working terms in a heap of negated packed monomials, largest first
+(Johnson 1974; Monagan & Pearce 2011).  A term that cancels keeps its
+heap entry, with coefficient 0, and is skipped when popped; every term a
+reduction step adds is smaller than the one being reduced, so a monomial
+never comes back once popped.  S-pairs wait in a heap of (lcm degree,
+creation index), the same order as the normal strategy above.
+Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
+`s_polynomial`, `_buchberger_core`) and unpacked on the way out, in
+canonical order, so no result is re-sorted.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
 preimages) runs through `_eliminate`, whose fresh variables are named by
@@ -42,13 +32,11 @@ them by packed monomial: under block(k) in, under the ring's order out.
 
 from __future__ import annotations
 
-import functools
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush
-from itertools import chain
-from operator import add, itemgetter, le, mul, sub
+from operator import itemgetter, mul
 
-from .poly import EXP_LIMIT, LEX, MonomialOrder, Polynomial, PolyRing, _overflow
+from .poly import MonomialOrder, Polynomial, PolyRing, _Packing
 
 # Reduced bases of the most recent distinct inputs, least recently used
 # first.  The probe's repeats are local (two checks on one (I, x, e)
@@ -66,71 +54,11 @@ def _lc_inverse(g: Polynomial) -> int:
     return 1 if lc == 1 else g.ring.field.inv(lc)
 
 
-_FIELD = EXP_LIMIT.bit_length()  # an exponent below 2^32, then the guard bit
-_FIELD_MASK = (1 << _FIELD) - 1
-
-
-class _Packing:
-    """The packed monomials of one monomial order on n variables."""
-
-    __slots__ = ("units", "guard", "shifts")
-
-    def __init__(self, order: MonomialOrder, n: int):
-        # the variables each key field sums, most significant field first:
-        # x_1..x_k alone (k is n for lex, 0 for grevlex), then grevlex
-        k = n if order.kind == LEX else min(order.nblock, n)
-        fields = [range(i, i + 1) for i in range(k)]
-        fields += [range(k, n - j) for j in range(n - k)]
-        base = n * _FIELD
-        width = (n * (EXP_LIMIT - 1)).bit_length()
-        self.shifts = range(0, base, _FIELD)
-        self.guard = sum(1 << (s + _FIELD - 1) for s in self.shifts)
-        # units[i] is x_i packed; packing is linear, so it is all we need
-        self.units = tuple(
-            (1 << self.shifts[i])
-            + sum(1 << (base + width * (n - 1 - f)) for f, var in enumerate(fields) if i in var)
-            for i in range(n)
-        )
-
-    def pack(self, exps) -> int:
-        return sum(map(mul, exps, self.units))
-
-    def unpack(self, m: int) -> tuple:
-        return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
-
-    def terms(self, terms) -> list:
-        """The (exponent tuple, coefficient) terms, packed, in their order."""
-        out = []
-        for m, c in terms:
-            if m and max(m) >= EXP_LIMIT:
-                _overflow(m)
-            out.append((self.pack(m), c))
-        return out
-
-    def head(self, g: Polynomial):
-        """(leading monomial, tail of g / lc(g)), packed: a divisor of `_divide`."""
-        terms = self.terms(g.terms)
-        p, inv = g.ring.field.p, _lc_inverse(g)
-        return terms[0][0], [(m, c * inv % p) for m, c in terms[1:]]
-
-    def polynomial(self, ring: PolyRing, terms) -> Polynomial:
-        """The polynomial of packed terms given in descending order."""
-        return Polynomial(ring, tuple([(self.unpack(m), c) for m, c in terms]))
-
-    def sort(self, ring: PolyRing, terms) -> Polynomial:
-        """The polynomial of a list of (exponent tuple, coefficient) terms in
-        any order, with distinct monomials and nonzero coefficients."""
-        if max(chain.from_iterable(map(itemgetter(0), terms)), default=0) >= EXP_LIMIT:
-            _overflow(chain.from_iterable(map(itemgetter(0), terms)))
-        return Polynomial(ring, tuple(sorted(terms, key=lambda t: self.pack(t[0]), reverse=True)))
-
-    def overflow(self, t: int):
-        """Raise for a packed monomial with a guard bit set."""
-        _overflow(self.unpack(t))
-
-
-# The packings of the most recent (order, number of variables) pairs.
-_packing = functools.lru_cache(maxsize=16)(_Packing)
+def _head(g: Polynomial):
+    """(leading monomial, tail of g / lc(g)), packed: a divisor of `_divide`."""
+    terms = g.ring.packing.terms(g.terms)
+    p, inv = g.ring.field.p, _lc_inverse(g)
+    return terms[0][0], [(m, c * inv % p) for m, c in terms[1:]]
 
 
 def _divide(work, heads, p: int, pk: _Packing) -> list:
@@ -138,7 +66,7 @@ def _divide(work, heads, p: int, pk: _Packing) -> list:
 
     work maps packed monomials to coefficients, zeros allowed, and is
     consumed.  Each head is (leading monomial, monic tail), as built by
-    `_Packing.head`; the first head whose lead divides a term reduces it.
+    `_head`; the first head whose lead divides a term reduces it.
     Returns the remainder's packed terms in descending order."""
     guard = pk.guard
     # every monomial of work has one heap entry; a cancelled term stays in
@@ -201,8 +129,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     if f.is_zero or not basis:
         return f
     ring = f.ring
-    pk = _packing(ring.order, ring.nvars)
-    heads = [pk.head(g) for g in basis]
+    pk = ring.packing
+    heads = [_head(g) for g in basis]
     return pk.polynomial(ring, _divide(dict(pk.terms(f.terms)), heads, ring.field.p, pk))
 
 
@@ -210,35 +138,37 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     """Single-divisor division: returns (q, r) with f = q*g + r and no
     term of r divisible by the leading monomial of g."""
     ring = f.ring
-    p = ring.field.p
-    key = ring.order.key
-    lm, lcinv = g.leading_monomial, _lc_inverse(g)
-    tail = g.terms[1:]
-    work = dict(f.terms)  # as in _divide: one heap entry per monomial
-    heap = [(key(m), m) for m in work]
+    p, pk = ring.field.p, ring.packing
+    guard = pk.guard
+    (lm, _), *tail = pk.terms(g.terms)
+    lcinv = _lc_inverse(g)
+    work = dict(pk.terms(f.terms))  # as in _divide: one heap entry per monomial
+    heap = [-m for m in work]
     heapify(heap)
     quot = []
     rem = []
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        if all(map(le, lm, m)):  # lm divides m
+        d = m - lm
+        if not d & guard:  # lm divides m, and d is the cofactor
             fc = c * lcinv % p
-            shift = tuple(map(sub, m, lm))
-            quot.append((shift, fc))
+            quot.append((d, fc))
             for gm, gc in tail:
-                t = tuple(map(add, gm, shift))
+                t = gm + d
                 v = work.get(t)
                 if v is None:
-                    heappush(heap, (key(t), t))
+                    if t & guard:
+                        pk.overflow(t)
+                    heappush(heap, -t)
                     v = 0
                 work[t] = (v - fc * gc) % p
         else:
             rem.append((m, c))
     # m runs strictly downwards, and so does m / lm(g): both lists are canonical
-    return Polynomial(ring, tuple(quot)), Polynomial(ring, tuple(rem))
+    return pk.polynomial(ring, quot), pk.polynomial(ring, rem)
 
 
 def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -250,18 +180,17 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
-    pk = _packing(ring.order, ring.nvars)
+    pk = ring.packing
     lcm = pk.pack(map(max, f.leading_monomial, g.leading_monomial))
-    work = _spair(lcm, pk.head(f), pk.head(g), ring.field.p, pk)
+    work = _spair(lcm, _head(f), _head(g), ring.field.p, pk)
     return pk.polynomial(ring, sorted([t for t in work.items() if t[1]], reverse=True))
 
 
-def buchberger(gens, order: MonomialOrder | None = None):
-    """Reduced Groebner basis of the ideal generated by gens.
-
-    If order is given, generators are first converted to a ring with that
-    order.  Output is monic, inter-reduced, and sorted by descending
-    leading monomial — the canonical form used for ideal equality.
+def buchberger(gens):
+    """Reduced Groebner basis of the ideal generated by gens, under the
+    order of their ring.  Output is monic, inter-reduced, and sorted by
+    descending leading monomial — the canonical form used for ideal
+    equality.
 
     The basis of a recent input with the same ring and the same set of
     generators is served from a small memo; the reduced basis is unique,
@@ -271,11 +200,7 @@ def buchberger(gens, order: MonomialOrder | None = None):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    ring = gens[0].ring
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [g.convert(ring) for g in gens]
-    key = (ring, frozenset(g.terms for g in gens))
+    key = (gens[0].ring, frozenset(g.terms for g in gens))
     basis = _memo.get(key)
     if basis is None:
         basis = _buchberger_core(gens)
@@ -292,7 +217,7 @@ def _buchberger_core(gens):
     order given; no memo."""
     ring = gens[0].ring
     p = ring.field.p
-    pk = _packing(ring.order, ring.nvars)
+    pk = ring.packing
     guard = pk.guard
     G = []  # the basis as heads of `_divide`: monic, packed
     leads = []  # leads[k] is G[k]'s leading exponent tuple
@@ -368,7 +293,7 @@ def _eliminate(ring: PolyRing, k: int, gens):
     run = "_" * (1 + max((len(s) - len(s.lstrip("_")) for s in ring.names), default=0))
     fresh = tuple(f"{run}{i}" for i in range(k))
     aux = PolyRing(ring.field, fresh + ring.names, MonomialOrder.block(k))
-    lift, drop = _packing(aux.order, aux.nvars), _packing(ring.order, ring.nvars)
+    lift, drop = aux.packing, ring.packing
     # block(k) ranks any monomial involving the fresh block above every one
     # free of it, so an element is free of it exactly when its lead is
     return [

@@ -5,13 +5,30 @@ A polynomial is an immutable tuple of (monomial, coefficient) terms held
 in strictly descending monomial order with no zero coefficients; the zero
 polynomial has an empty term tuple.  Two polynomials over the same ring
 are equal exactly when their term tuples are identical.
+
+Each monomial order is defined once, by its packing (Monagan & Pearce
+2007, packed exponent vectors): a monomial packs into one Python int.
+The low bits hold the exponents, one 33-bit field per variable: 32 bits
+for an exponent below 2^32, and a guard bit on top.  The high bits hold
+the order key, a linear function of the exponents with one field per
+variable, most significant first: x_1..x_n for lex; for grevlex the
+degree, then the prefix sums x_1+...+x_{n-1}, x_1+...+x_{n-2}, ..., x_1;
+for block(k) x_1..x_k, then grevlex on the rest.  Each key field is wide
+enough for n * (2^32 - 1).  Both parts are linear, so a product of
+monomials is one addition, comparing two packed monomials compares them
+in the order, and lm divides m exactly when m - lm has no guard bit set;
+m - lm is then the cofactor.  A sum of two exponents below 2^32 fits in
+its field, so a product's guard bits show whether an exponent reached
+2^32, which raises ExponentOverflowError.  The packed order is exact only
+below 2^32, so `_Packing.sort`, the one place a term list is put into
+canonical order, refuses any exponent at or past it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, neg
+from operator import add, itemgetter, mul
 
 from .errors import ExponentOverflowError, RingMismatchError
 from .field import PrimeField
@@ -28,9 +45,8 @@ class MonomialOrder:
 
     block(k) compares the first k exponents lexicographically and breaks
     ties by grevlex on the remaining variables, so it eliminates the
-    first k variables.  Keys run the other way from the order: a bigger
-    monomial has a smaller key, so an ascending sort or a min-heap of keys
-    yields monomials in descending order.
+    first k variables.  Its `_Packing` is the one definition of the
+    order; `key` is a thin entry point over it.
     """
 
     __slots__ = ("kind", "nblock")
@@ -55,13 +71,12 @@ class MonomialOrder:
     def block(cls, k: int):
         return cls(BLOCK, k)
 
-    def key(self, exps):
-        if self.kind == LEX:
-            return tuple(map(neg, exps))
-        if self.kind == GREVLEX:
-            return _grevlex_key(exps)
-        k = self.nblock
-        return (tuple(map(neg, exps[:k])), _grevlex_key(exps[k:]))
+    def key(self, exps) -> int:
+        """The negated packed monomial: a bigger monomial has a smaller key,
+        so an ascending sort of keys yields monomials in descending order."""
+        if exps and max(exps) >= EXP_LIMIT:
+            _overflow(exps)
+        return -_packing(self, len(exps)).pack(exps)
 
     def __eq__(self, other):
         return (
@@ -79,17 +94,72 @@ class MonomialOrder:
         return self.kind
 
 
-def _grevlex_key(exps):
-    # a > b iff deg a > deg b, or degrees tie and the last nonzero entry
-    # of a - b is negative: a has the smaller negated degree, then the
-    # smaller reversed tuple.
-    return (-sum(exps), exps[::-1])
+_FIELD = EXP_LIMIT.bit_length()  # an exponent below 2^32, then the guard bit
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+class _Packing:
+    """The packed monomials of one monomial order on n variables."""
+
+    __slots__ = ("units", "guard", "shifts")
+
+    def __init__(self, order: MonomialOrder, n: int):
+        # the variables each key field sums, most significant field first:
+        # x_1..x_k alone (k is n for lex, 0 for grevlex), then grevlex
+        k = n if order.kind == LEX else min(order.nblock, n)
+        fields = [range(i, i + 1) for i in range(k)]
+        fields += [range(k, n - j) for j in range(n - k)]
+        base = n * _FIELD
+        width = (n * (EXP_LIMIT - 1)).bit_length()
+        self.shifts = range(0, base, _FIELD)
+        self.guard = sum(1 << (s + _FIELD - 1) for s in self.shifts)
+        # units[i] is x_i packed; packing is linear, so it is all we need
+        self.units = tuple(
+            (1 << self.shifts[i])
+            + sum(1 << (base + width * (n - 1 - f)) for f, var in enumerate(fields) if i in var)
+            for i in range(n)
+        )
+
+    def pack(self, exps) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m: int) -> tuple:
+        return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
+
+    def terms(self, terms) -> list:
+        """The (exponent tuple, coefficient) terms, packed, in their order."""
+        out = []
+        for m, c in terms:
+            if m and max(m) >= EXP_LIMIT:
+                _overflow(m)
+            out.append((self.pack(m), c))
+        return out
+
+    def polynomial(self, ring: PolyRing, terms) -> Polynomial:
+        """The polynomial of packed terms given in descending order."""
+        return Polynomial(ring, tuple([(self.unpack(m), c) for m, c in terms]))
+
+    def sort(self, ring: PolyRing, terms) -> Polynomial:
+        """The polynomial of a list of (exponent tuple, coefficient) terms in
+        any order, with distinct monomials and nonzero coefficients."""
+        flat = itertools.chain.from_iterable
+        if max(flat(map(itemgetter(0), terms)), default=0) >= EXP_LIMIT:
+            _overflow(flat(map(itemgetter(0), terms)))
+        return Polynomial(ring, tuple(sorted(terms, key=lambda t: self.pack(t[0]), reverse=True)))
+
+    def overflow(self, t: int):
+        """Raise for a packed monomial with a guard bit set."""
+        _overflow(self.unpack(t))
+
+
+# The packings of the most recent (order, number of variables) pairs.
+_packing = functools.lru_cache(maxsize=16)(_Packing)
 
 
 class PolyRing:
-    """F_p[x_1..x_n] together with a monomial order."""
+    """F_p[x_1..x_n] together with a monomial order and its packing."""
 
-    __slots__ = ("field", "names", "order", "nvars")
+    __slots__ = ("field", "names", "order", "nvars", "packing")
 
     def __init__(self, field: PrimeField, names, order: MonomialOrder | None = None):
         names = tuple(names)
@@ -99,20 +169,17 @@ class PolyRing:
         self.names = names
         self.order = order if order is not None else MonomialOrder.grevlex()
         self.nvars = len(names)
-
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.field, self.names, order)
+        self.packing = _packing(self.order, self.nvars)
 
     def poly(self, term_map) -> "Polynomial":
         """Canonical polynomial from a {monomial: coefficient} mapping."""
         p = self.field.p
-        cleaned = {}
+        terms = []
         for exps, c in term_map.items():
             c %= p
             if c:
-                cleaned[tuple(exps)] = c
-        terms = tuple((m, cleaned[m]) for m in sorted(cleaned, key=self.order.key))
-        return Polynomial(self, terms)
+                terms.append((tuple(exps), c))
+        return self.packing.sort(self, terms)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -163,7 +230,7 @@ def monomial_pool(S: PolyRing, max_degree: int) -> tuple:
         for exps in itertools.product(range(max_degree + 1), repeat=S.nvars)
         if sum(exps) <= max_degree
     ]
-    pool.sort(key=S.order.key, reverse=True)
+    pool.sort(key=S.packing.pack)
     return tuple(pool)
 
 
@@ -259,11 +326,6 @@ class Polynomial:
                 _overflow(nm)
             out.append((nm, cc * c % p))
         return self.ring.poly(dict(out))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero or self.leading_coeff == 1:
-            return self
-        return self.scale(self.ring.field.inv(self.leading_coeff))
 
     def frobenius_power(self, e: int) -> "Polynomial":
         """f^(p^e): scale every exponent by p^e, coefficients fixed (c^p = c)."""

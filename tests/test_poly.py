@@ -6,6 +6,7 @@ from ffrob import (
     ExponentOverflowError,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     PrimeField,
     RingMismatchError,
     render,
@@ -127,7 +128,16 @@ def test_product_exponent_limit():
     with pytest.raises(ExponentOverflowError, match=first):
         (x * y).mul_term(1, (2**32, 2**32 + 6))
     with pytest.raises(ExponentOverflowError, match=first):
-        _ = (x * y) * R2.monomial((2**32, 2**32 + 6))
+        _ = (x * y) * Polynomial(R2, (((2**32, 2**32 + 6), 1),))
+    # ring.poly, ring.monomial and the order key refuse such an operand, so
+    # it is built raw
+    for build in (
+        lambda: R2.poly({(0, 2**32): 1}),
+        lambda: R2.monomial((2**32, 0)),
+        lambda: R2.order.key((2**32, 0)),
+    ):
+        with pytest.raises(ExponentOverflowError, match=r"^exponent 4294967296 exceeds 2\^32$"):
+            build()
     # a ring with no variables has only the empty monomial
     R0 = PolyRing(F2, ())
     assert R0.one() * R0.one() == R0.one().mul_term(1, ()) == R0.one()
@@ -146,6 +156,9 @@ def test_render_canonical_form():
 
 ORDERS = [MonomialOrder.lex(), MonomialOrder.grevlex(), MonomialOrder.block(1)]
 EXPS = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+# small exponents make ties likely; 2^32 - 1, the largest exponent a
+# monomial may carry, fills the widest key fields
+_WIDE_EXPONENT = st.one_of(st.integers(0, 6), st.sampled_from([2**32 - 2, 2**32 - 1]))
 
 
 def _greater(order, a, b) -> bool:
@@ -174,12 +187,14 @@ def test_order_total_multiplicative_with_one_minimal(order, a, b, w):
     ids=repr,
 )
 @settings(max_examples=100, deadline=None)
-@given(monos=st.lists(st.tuples(*[st.integers(0, 6)] * 4), max_size=30))
+@given(monos=st.lists(st.tuples(*[_WIDE_EXPONENT] * 4), max_size=30))
 def test_order_key_sorts_as_the_oracle(order, monos):
-    # ascending key is descending monomial; the oracle's key runs upwards
-    assert sorted(monos, key=order.key) == sorted(
-        monos, key=lambda m: order_key(order, m), reverse=True
-    )
+    # ascending key is descending monomial, and so are the terms of
+    # ring.poly; the oracle's key runs upwards
+    want = sorted(monos, key=lambda m: order_key(order, m), reverse=True)
+    assert sorted(monos, key=order.key) == want
+    ring = PolyRing(F3, ("a", "b", "c", "d"), order)
+    assert [m for m, _ in ring.poly(dict.fromkeys(monos, 1)).terms] == list(dict.fromkeys(want))
 
 
 def test_grevlex_classic_comparison():
