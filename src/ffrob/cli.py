@@ -43,13 +43,17 @@ from .frobenius import (
 )
 from .field import PrimeField
 from .ideals import Ideal, QuotientRing
-from .parser import parse_polynomial
+from .parser import NAME, parse_polynomial
+from .poly import PolyRing
 
 _RING_RE = re.compile(
     r"^ring\s+p=(\d+)\s+vars=([A-Za-z_0-9,]+)(?:\s+quotient=\[(.*)\])?\s*$"
 )
-_IDEAL_RE = re.compile(r"^ideal\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*\[(.*)\]\s*$")
-_ELEM_RE = re.compile(r"^elem\s+([A-Za-z_][A-Za-z_0-9]*)\s*=\s*(.+)$")
+_IDEAL_RE = re.compile(rf"^ideal\s+({NAME})\s*=\s*\[(.*)\]\s*$")
+_ELEM_RE = re.compile(rf"^elem\s+({NAME})\s*=\s*(.+)$")
+
+# what a session runs with when the command line does not say
+_DEFAULTS = {"seed": 1, "count": 50, "emax": 4}
 
 _COMMANDS = {
     "gb": ("ideal",),
@@ -130,12 +134,12 @@ def parse_session(text: str) -> SessionSpec:
                 raise ParseError(f"ring declaration names no variables: {line!r}", lineno)
             if len(set(names)) != len(names):
                 raise ParseError(f"duplicate variable names in {line!r}", lineno)
+            for n in names:
+                if not re.fullmatch(NAME, n):
+                    raise ParseError(f"variable name {n!r} is not an identifier", lineno)
             try:
-                plain = QuotientRing(fieldspec, names)
-                qgens = [
-                    parse_polynomial(s, plain.ambient)
-                    for s in _split_list(m.group(3) or "")
-                ]
+                plain = PolyRing(fieldspec, names)
+                qgens = [parse_polynomial(s, plain) for s in _split_list(m.group(3) or "")]
                 ring = QuotientRing(fieldspec, names, qgens)
             except FFrobError as exc:
                 raise ParseError(str(exc), lineno) from exc
@@ -231,7 +235,8 @@ def run_command(spec: SessionSpec, cmd: Command, overrides: dict) -> dict:
     ring = spec.ring
     name, args = cmd.name, cmd.args
     out = {"command": name}
-    emax = overrides.get("emax", 4)
+    settings = {**_DEFAULTS, **overrides}
+    emax = settings["emax"]
     if name == "gb":
         out["result"] = _ideal_strs(args[0])
     elif name == "intersect":
@@ -279,15 +284,10 @@ def run_command(spec: SessionSpec, cmd: Command, overrides: dict) -> dict:
     elif name == "jacobian":
         out["result"] = jacobian_regularity_oracle(ring)
     elif name == "probe":
-        cfg = SamplerConfig(
-            seed=cmd.flags.get("seed", overrides.get("seed", 1)),
-            max_degree=cmd.flags.get("max_degree", 3),
-            max_terms=cmd.flags.get("max_terms", 3),
-            max_generators=cmd.flags.get("max_generators", 2),
-            count=cmd.flags.get("count", overrides.get("count", 50)),
-        )
-        e_hi = cmd.flags.get("emax", 1)
-        rep = regularity_probe(ring, cfg, e_list=tuple(range(1, e_hi + 1)))
+        flags = dict(cmd.flags)
+        e_hi = flags.pop("emax", 1)
+        cfg = SamplerConfig(**{"seed": settings["seed"], "count": settings["count"], **flags})
+        rep = regularity_probe(ring, cfg, e_list=range(1, e_hi + 1))
         out.update(rep.to_dict())
         out["result"] = rep.verdict
     else:  # pragma: no cover - guarded by _COMMANDS
@@ -335,9 +335,9 @@ def main(argv=None) -> int:
     )
     ap.add_argument("session", help="path to a session file")
     ap.add_argument("--json", action="store_true", help="emit a JSON report array")
-    ap.add_argument("--seed", type=int, default=1, help="default probe seed")
-    ap.add_argument("--count", type=int, default=50, help="default probe trial count")
-    ap.add_argument("--emax", type=int, default=4, help="default Frobenius closure bound")
+    ap.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="default probe seed")
+    ap.add_argument("--count", type=int, default=_DEFAULTS["count"], help="default probe trial count")
+    ap.add_argument("--emax", type=int, default=_DEFAULTS["emax"], help="default Frobenius closure bound")
     ns = ap.parse_args(argv)
     try:
         with open(ns.session, encoding="utf-8") as fh:

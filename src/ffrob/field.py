@@ -8,35 +8,15 @@ reduction, and every ring in practice uses tiny p anyway.
 
 from __future__ import annotations
 
-from .errors import FFrobError
+import math
 
-_MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin witnesses for n < 3_215_031_751
+from .errors import FFrobError
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 2^31."""
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n == b:
-            return True
-        if n % b == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division; below 2^31 that is at most about
+    46,000 divisors."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 class PrimeField:

@@ -2,10 +2,11 @@
 
 An ideal of R = S/Q is always handled through its lift: the ideal of the
 ambient polynomial ring S generated by the chosen generators together
-with Q.  Intersections and colons of lifts correspond exactly to the
-same operations downstairs, so all the work happens in S via Groebner
-bases; the reduced basis of the lift is the canonical form used for
-equality.
+with Q.  Intersections of lifts correspond exactly to intersections
+downstairs, so all the work happens in S via Groebner bases; the reduced
+basis of the lift is the canonical form used for equality.  An
+intersection joins Q to one side only, and a colon is an intersection
+followed by exact division (Cox, Little & O'Shea, section 4.4).
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from .poly import Polynomial, PolyRing
 class QuotientRing:
     """F_p[vars]/Q; Q empty means the polynomial ring itself."""
 
-    def __init__(self, field: PrimeField, names, quotient_gens=(), order=None):
-        self.ambient = PolyRing(field, names, order)
+    def __init__(self, field: PrimeField, names, quotient_gens=()):
+        self.ambient = PolyRing(field, names)
         gens = []
         for g in quotient_gens:
             if g.ring != self.ambient:
-                g = g.convert(self.ambient)
+                raise RingMismatchError(
+                    f"quotient generator {g!r} does not live in {self.ambient!r}"
+                )
             if not g.is_zero:
                 gens.append(g)
         self.quotient_gens = tuple(gens)
@@ -50,8 +53,8 @@ class QuotientRing:
         return self._qgb
 
     def cover(self) -> "QuotientRing":
-        """F_p[vars] with this ring's order: the ring this one is a quotient of."""
-        return QuotientRing(self.field, self.names, (), order=self.ambient.order)
+        """F_p[vars]: the ring this one is a quotient of."""
+        return QuotientRing(self.field, self.names)
 
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)
@@ -116,11 +119,6 @@ class Ideal:
         gb = self.groebner
         return bool(gb) and gb[-1].total_degree() == 0
 
-    @property
-    def is_zero(self) -> bool:
-        """Zero as an ideal of R, i.e. the lift equals Q."""
-        return self.groebner == self.ring.quotient_basis
-
     def _check_ring(self, other: "Ideal"):
         if self.ring != other.ring:
             raise RingMismatchError("ideals live in different rings")
@@ -132,29 +130,26 @@ class Ideal:
     def intersect(self, other: "Ideal") -> "Ideal":
         """I ∩ J via the auxiliary-variable elimination t·I + (1-t)·J.
 
-        Both lifts include Q, so the result is the lift of the
-        intersection in R."""
+        Q joins I's side only: Q ⊆ I + Q, so by the modular law
+        (I+Q) ∩ (J+Q) = ((I+Q) ∩ J) + Q, and the result's lift adds Q
+        back."""
         self._check_ring(other)
-        S = self.ring.ambient
-        q = list(self.ring.quotient_gens)
-        out = poly_ideal_intersect(S, list(self.gens) + q, list(other.gens) + q)
-        return Ideal(self.ring, out)
+        lift = list(self.gens) + list(self.ring.quotient_gens)
+        return Ideal(self.ring, poly_ideal_intersect(self.ring.ambient, lift, list(other.gens)))
 
     def colon(self, x: Polynomial) -> "Ideal":
         """(I : x) = {f : f·x ∈ I} as an ideal of R.
 
-        Computed in the ambient ring as (lift ∩ (x)) / x; every
-        generator of the intersection is an honest multiple of x there,
-        so exact division applies.  x that is zero in R yields the unit
-        ideal (x ∈ Q makes x itself land in the intersection)."""
+        Computed as (I ∩ (x)) / x: each generator of the intersection is
+        an honest multiple of x in the ambient ring, so exact division
+        applies.  x that is zero in R yields the unit ideal (x ∈ Q makes
+        x itself land in the intersection)."""
         if x.ring != self.ring.ambient:
             raise RingMismatchError("element lives in a different ring")
         if x.is_zero:
             return self.ring.unit_ideal()
-        S = self.ring.ambient
-        lift = list(self.gens) + list(self.ring.quotient_gens)
-        meet = poly_ideal_intersect(S, lift, [x])
-        return Ideal(self.ring, [poly_divexact(g, x) for g in meet])
+        meet = self.intersect(self.ring.ideal([x]))
+        return Ideal(self.ring, [poly_divexact(g, x) for g in meet.gens])
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) = ∩_j (I : g_j) over the generators of J."""

@@ -12,7 +12,8 @@ import re
 from .errors import ExponentOverflowError, ParseError
 from .poly import EXP_LIMIT, Polynomial, PolyRing
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^]))")
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable name, as the tokenizer reads one
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|([()+\-*^]))")
 
 
 def _tokenize(text: str):

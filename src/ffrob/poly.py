@@ -315,17 +315,8 @@ class Polynomial:
 
     def mul_term(self, c: int, exps) -> "Polynomial":
         """Multiply by the single term c * x^exps."""
-        p = self.ring.field.p
-        c %= p
-        if c == 0:
-            return self.ring.zero()
-        out = []
-        for m, cc in self.terms:
-            nm = tuple(map(add, m, exps))
-            if nm and max(nm) >= EXP_LIMIT:
-                _overflow(nm)
-            out.append((nm, cc * c % p))
-        return self.ring.poly(dict(out))
+        c %= self.ring.field.p
+        return self * Polynomial(self.ring, ((tuple(exps), c),) if c else ())
 
     def frobenius_power(self, e: int) -> "Polynomial":
         """f^(p^e): scale every exponent by p^e, coefficients fixed (c^p = c)."""

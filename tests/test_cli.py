@@ -77,6 +77,8 @@ def test_parse_session_dual_numbers():
         ("ring p=2 vars=x\nprobe --max-generators 0\n", "--max-generators must be at least 1"),
         ("ring p=2 vars=x\nideal I = [x]\nfrobroot I 0\n", "line 3: frobroot needs an exponent of at least 1"),
         ("ring p=2 vars=,\nprobe --count 0\n", "line 1: ring declaration names no variables"),
+        ("ring p=2 vars=x,1\nideal I = [1]\ngb I\n", "line 1: variable name '1' is not an identifier"),
+        ("ring p=2 vars=2x,y\n", "line 1: variable name '2x' is not an identifier"),
     ],
 )
 def test_parse_session_errors_carry_line_numbers(text, fragment):
@@ -200,6 +202,24 @@ def test_cli_huge_frobroot_exponent_answers_as_at_32(tmp_path):
     assert out.returncode == 0, out.stderr
     huge, at_32 = json.loads(out.stdout)
     assert huge == at_32 == {"command": "frobroot", "result": ["1"]}
+
+
+def test_cli_huge_probe_emax_is_an_error(tmp_path):
+    # the probe runs e = 1, 2, ... and stops at the first p^e past the
+    # exponent budget; it never builds the list of all requested exponents
+    session = tmp_path / "probe.ffor"
+    session.write_text("ring p=2 vars=x\nprobe --emax 99999999999\n")
+    start = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "ffrob.cli", str(session)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert out.returncode == 1
+    assert out.stderr.startswith("ffor: error:")
+    assert "Traceback" not in out.stderr
 
 
 def test_cli_ring_names_never_collide_with_fresh_variables(tmp_path):

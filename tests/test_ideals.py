@@ -5,11 +5,15 @@ from hypothesis import strategies as st
 from ffrob import (
     Ideal,
     FFrobError,
+    MonomialOrder,
+    PolyRing,
     PrimeField,
     QuotientRing,
     RingMismatchError,
     parse_polynomial,
+    poly_ideal_intersect,
 )
+from ffrob.groebner import poly_divexact
 
 from oracles import CuspSemigroup
 
@@ -41,6 +45,12 @@ def test_unit_quotient_rejected():
     plain = QuotientRing(F2, ("x",))
     with pytest.raises(FFrobError):
         QuotientRing(F2, ("x",), [P(plain, "x+1"), P(plain, "x")])
+
+
+def test_quotient_generator_from_another_ring_rejected():
+    lex = PolyRing(F2, ("x", "y"), MonomialOrder.lex())
+    with pytest.raises(RingMismatchError):
+        QuotientRing(F2, ("x", "y"), [parse_polynomial("y^2+x^3", lex)])
 
 
 def test_membership_examples(cusp):
@@ -169,3 +179,31 @@ def test_intersection_contained_in_both(I, J):
     meet = I.intersect(J)
     assert meet + I == I
     assert meet + J == J
+
+
+@st.composite
+def quotient_case(draw):
+    """F_p[x,y,z]/Q with p in {2, 3}, two ideals of it and an element.
+
+    No polynomial drawn has a constant term, so Q is never the unit ideal."""
+    p = draw(st.sampled_from((2, 3)))
+    S = PolyRing(PrimeField(p), ("x", "y", "z"))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)).filter(any)
+    poly = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=2).map(S.poly)
+    gens = st.lists(poly, min_size=1, max_size=2)
+    R = QuotientRing(S.field, S.names, draw(gens))
+    return R, R.ideal(draw(gens)), R.ideal(draw(gens)), draw(poly)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(quotient_case())
+def test_one_sided_quotient_matches_two_sided_formulas(case):
+    # Q joins only I's side of an intersection; the lifts must still equal
+    # those of the two-sided elimination (I+Q) ∩ (J+Q), and of the colon
+    # computed as (I+Q) ∩ (x), divided by x
+    R, I, J, x = case
+    S, q = R.ambient, list(R.quotient_gens)
+    two_sided = Ideal(R, poly_ideal_intersect(S, list(I.gens) + q, list(J.gens) + q))
+    assert I.intersect(J) == two_sided
+    meet = poly_ideal_intersect(S, list(I.gens) + q, [x])
+    assert I.colon(x) == Ideal(R, [poly_divexact(g, x) for g in meet])
