@@ -7,6 +7,9 @@ and with colons by an element.  `_SIDES` maps each identity to the one
 function that builds its two sides; the checkers and `reverify_witness`
 both read it.  On inequality a checker extracts a separating element that
 lies in exactly one side — a certificate of non-regularity (for reduced rings).
+A colon by x is an intersection with (x) divided by x, so both element
+identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
+`_element_sides` eliminates once for both.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .frobenius import bracket_power, is_reduced
-from .ideals import Ideal, QuotientRing
+from .ideals import Ideal, QuotientRing, _divide_out
 from .poly import Polynomial, monomial_pool
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
@@ -89,16 +92,15 @@ def _separator(lhs: Ideal, rhs: Ideal):
     raise AssertionError("sides compare unequal but no separator found")
 
 
-def _principal_intersection_sides(I: Ideal, x: Polynomial, e: int):
-    """I^[q] ∩ (x^q) and (I ∩ (x))^[q]."""
-    principal = I.ring.ideal([x])
-    lhs = bracket_power(I, e).intersect(bracket_power(principal, e))
-    return lhs, bracket_power(I.intersect(principal), e)
-
-
-def _colon_sides(I: Ideal, x: Polynomial, e: int):
-    """(I : x)^[q] and (I^[q] : x^q)."""
-    return bracket_power(I.colon(x), e), bracket_power(I, e).colon(x.frobenius_power(e))
+def _element_sides(I: Ideal, x: Polynomial, e: int):
+    """Both element identities' sides from A = I ∩ (x) and
+    B = I^[q] ∩ (x^q), each eliminated once: the principal intersection's
+    (B, A^[q]) and the colon's ((A : x)^[q], (B : x^q))."""
+    xq = x.frobenius_power(e)
+    A = I.intersect(I.ring.ideal([x]))
+    B = bracket_power(I, e).intersect(I.ring.ideal([xq]))
+    colon = (bracket_power(_divide_out(A, x), e), _divide_out(B, xq))
+    return (B, bracket_power(A, e)), colon
 
 
 def _intersection_family_sides(I: Ideal, family, e: int):
@@ -115,18 +117,30 @@ def _intersection_family_sides(I: Ideal, family, e: int):
 
 # identity -> builder of its two sides from (I, x or the other ideals, e)
 _SIDES = {
-    PRINCIPAL_INTERSECTION: _principal_intersection_sides,
-    COLON: _colon_sides,
+    PRINCIPAL_INTERSECTION: lambda I, x, e: _element_sides(I, x, e)[0],
+    COLON: lambda I, x, e: _element_sides(I, x, e)[1],
     INTERSECTION_FAMILY: _intersection_family_sides,
 }
 
 
-def _check(identity, ring, I, x, family, e) -> CheckReport:
-    lhs, rhs = _SIDES[identity](I, x if family is None else family, e)
+def _judge(identity, ring, sides, I, x, family, e) -> CheckReport:
+    lhs, rhs = sides
     if lhs == rhs:
         return CheckReport(identity, ring.describe(), 1, "PASS")
     sep, side = _separator(lhs, rhs)
     return CheckReport(identity, ring.describe(), 1, "FAIL", Witness(I, x, family, e, sep, side))
+
+
+def _check(identity, ring, I, x, family, e) -> CheckReport:
+    sides = _SIDES[identity](I, x if family is None else family, e)
+    return _judge(identity, ring, sides, I, x, family, e)
+
+
+def _element_checks(ring, I, x, e):
+    """Principal-intersection, then colon report on one (I, x, e)."""
+    principal, colon = _element_sides(I, x, e)
+    yield _judge(PRINCIPAL_INTERSECTION, ring, principal, I, x, None, e)
+    yield _judge(COLON, ring, colon, I, x, None, e)
 
 
 def check_principal_intersection(ring: QuotientRing, I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
@@ -171,10 +185,9 @@ def fedder_is_fpure(ring: QuotientRing) -> bool:
     (Q^[p] : Q) is not contained in m^[p], m = (all variables)."""
     if ring.is_polynomial_ring:
         return True
-    S = ring.cover()
-    Q = S.ideal(list(ring.quotient_gens))
+    Q = ring.defining_ideal()
     colon = bracket_power(Q, 1).colon_ideal(Q)
-    m_p = S.ideal([v.frobenius_power(1) for v in S.ambient.variables()])
+    m_p = Q.ring.ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
     return any(not m_p.contains(g) for g in colon.groebner)
 
 
@@ -293,9 +306,8 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
     for e in e_list:
         for I in ideals:
             for x in elems:
-                for chk in (check_principal_intersection, check_colon):
+                for rep in _element_checks(ring, I, x, e):
                     structured += 1
-                    rep = chk(ring, I, x, e)
                     if not rep.passed:
                         return finish(NOT_REGULAR, 0, rep)
         for Ia, Ib in itertools.combinations(ideals, 2):
@@ -308,8 +320,7 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
         I = sample_ideal(ring, config, pos)
         x = sample_polynomial(ring, config, pos)
         for e in e_list:
-            for chk in (check_principal_intersection, check_colon):
-                rep = chk(ring, I, x, e)
+            for rep in _element_checks(ring, I, x, e):
                 if not rep.passed:
                     return finish(NOT_REGULAR, pos + 1, rep)
     return finish(NO_WITNESS_FOUND, config.count, None)

@@ -92,7 +92,7 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
 
     f is nilpotent mod Q iff f^(p^e) ∈ Q for some e, so the ascending
     chain Q ⊆ φ^-1(Q) ⊆ φ^-2(Q) ⊆ ... stabilizes at the nilradical."""
-    J = ring.cover().ideal(list(ring.quotient_gens))
+    J = ring.defining_ideal()
     steps = 0
     while True:
         K = frobenius_kernel_preimage(J)
@@ -106,21 +106,22 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
 
 def is_reduced(ring: QuotientRing) -> bool:
     """True iff R has no nonzero nilpotents (Frobenius is injective)."""
-    J = ring.cover().ideal(list(ring.quotient_gens))
+    J = ring.defining_ideal()
     return frobenius_kernel_preimage(J) == J
 
 
 def closure_search_bound(x: Polynomial, I: Ideal, e_max: int) -> int:
     """The largest e ≤ e_max at which x^(p^e) and every generator of
     I^[p^e] keep all exponents below 2^32: the last exponent that
-    frobenius_closure_test searches."""
+    frobenius_closure_test searches.  When x and every generator of I
+    are constants, it is 0: every e then asks the same question."""
     if e_max < 0:
         raise ValueError("e_max must be nonnegative")
     top = max(
         (max(m, default=0) for f in (x, *I.gens) for m, _ in f.terms), default=0
     )
     if top == 0:
-        return e_max
+        return 0
     p = x.ring.field.p
     e = 0
     while e < e_max and top * p ** (e + 1) < EXP_LIMIT:
@@ -148,10 +149,6 @@ class ClosureVerdict:
     closed: bool  # True means CLOSED_UP_TO_BOUNDS, not a proof of closure
     witness: Polynomial | None = None
     witness_exponent: int | None = None
-
-    @property
-    def label(self) -> str:
-        return "CLOSED_UP_TO_BOUNDS" if self.closed else "NOT_CLOSED"
 
 
 # cap on exhaustive coefficient enumeration; beyond it fall back to

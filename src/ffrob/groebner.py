@@ -2,8 +2,10 @@
 
 The reduced Groebner basis under a fixed order is the unique canonical
 form of an ideal; every ideal-level equality test in the package bottoms
-out here.  Pair selection is the normal strategy (minimal lcm degree,
-ties by pair creation index) so the computation is fully deterministic.
+out here.  Nothing here caches a basis: `buchberger` runs on every
+call, and `ffrob.ideals.Ideal` keeps the one basis cache.  Pair
+selection is the normal strategy (minimal lcm degree, ties by pair
+creation index) so the computation is fully deterministic.
 
 Inside the kernel a monomial is one Python int and a term is two, the
 monomial and its coefficient: the packing of `ffrob.poly`, which defines
@@ -32,20 +34,10 @@ them by packed monomial: under block(k) in, under the ring's order out.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
 from .poly import MonomialOrder, Polynomial, PolyRing, _Packing
-
-# Reduced bases of the most recent distinct inputs, least recently used
-# first.  The probe's repeats are local (two checks on one (I, x, e)
-# build the same auxiliary-variable ideals back to back), so a few
-# entries catch nearly all of them; an unbounded memo also holds every
-# large basis a long run ever computed.  One memo per process, with no
-# lock: nothing in the package runs concurrently.
-_MEMO_CAPACITY = 8
-_memo = OrderedDict()
 
 
 def _lc_inverse(g: Polynomial) -> int:
@@ -190,31 +182,17 @@ def buchberger(gens):
     """Reduced Groebner basis of the ideal generated by gens, under the
     order of their ring.  Output is monic, inter-reduced, and sorted by
     descending leading monomial — the canonical form used for ideal
-    equality.
-
-    The basis of a recent input with the same ring and the same set of
-    generators is served from a small memo; the reduced basis is unique,
-    so the answer does not depend on whether it was cached.  Every call
-    returns a fresh list.
+    equality.  Every call runs the algorithm and returns a fresh list.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    key = (gens[0].ring, frozenset(g.terms for g in gens))
-    basis = _memo.get(key)
-    if basis is None:
-        basis = _buchberger_core(gens)
-        _memo[key] = basis
-        if len(_memo) > _MEMO_CAPACITY:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(key)
-    return list(basis)
+    return _buchberger_core(gens)
 
 
 def _buchberger_core(gens):
     """Reduced Groebner basis of nonzero generators of one ring, in the
-    order given; no memo."""
+    order given."""
     ring = gens[0].ring
     p = ring.field.p
     pk = ring.packing

@@ -4,7 +4,8 @@ An ideal of R = S/Q is always handled through its lift: the ideal of the
 ambient polynomial ring S generated by the chosen generators together
 with Q.  Intersections of lifts correspond exactly to intersections
 downstairs, so all the work happens in S via Groebner bases; the reduced
-basis of the lift is the canonical form used for equality.  An
+basis of the lift is the canonical form used for equality, cached per
+`Ideal` and not needed for two that present the same generators.  An
 intersection joins Q to one side only, and a colon is an intersection
 followed by exact division (Cox, Little & O'Shea, section 4.4).
 """
@@ -58,6 +59,12 @@ class QuotientRing:
 
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)
+
+    def defining_ideal(self) -> "Ideal":
+        """Q as an ideal of the cover, holding the basis this ring computed."""
+        Q = Ideal(self.cover(), self.quotient_gens)
+        Q._gb = list(self._qgb)
+        return Q
 
     def unit_ideal(self) -> "Ideal":
         return Ideal(self, [self.ambient.one()])
@@ -138,18 +145,11 @@ class Ideal:
         return Ideal(self.ring, poly_ideal_intersect(self.ring.ambient, lift, list(other.gens)))
 
     def colon(self, x: Polynomial) -> "Ideal":
-        """(I : x) = {f : f·x ∈ I} as an ideal of R.
-
-        Computed as (I ∩ (x)) / x: each generator of the intersection is
-        an honest multiple of x in the ambient ring, so exact division
-        applies.  x that is zero in R yields the unit ideal (x ∈ Q makes
-        x itself land in the intersection)."""
+        """(I : x) = {f : f·x ∈ I} as an ideal of R, computed as
+        (I ∩ (x)) / x by `_divide_out`."""
         if x.ring != self.ring.ambient:
             raise RingMismatchError("element lives in a different ring")
-        if x.is_zero:
-            return self.ring.unit_ideal()
-        meet = self.intersect(self.ring.ideal([x]))
-        return Ideal(self.ring, [poly_divexact(g, x) for g in meet.gens])
+        return _divide_out(self.intersect(self.ring.ideal([x])), x)
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) = ∩_j (I : g_j) over the generators of J."""
@@ -165,10 +165,21 @@ class Ideal:
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        return self.ring == other.ring and self.groebner == other.groebner
+        if self.ring != other.ring:
+            return False
+        # one presentation is one ideal, so equal generators need no basis
+        return self.gens == other.gens or self.groebner == other.groebner
 
     def __hash__(self):
         return hash((self.ring, tuple(self.groebner)))
 
     def __repr__(self):
         return "(" + ", ".join(str(g) for g in self.groebner) + ")"
+
+
+def _divide_out(meet: Ideal, x: Polynomial) -> Ideal:
+    """(meet : x) for meet = J ∩ (x), each generator divided exactly by x.
+    x = 0 yields the unit ideal; for x ∈ Q, x itself is in meet."""
+    if x.is_zero:
+        return meet.ring.unit_ideal()
+    return Ideal(meet.ring, [poly_divexact(g, x) for g in meet.gens])

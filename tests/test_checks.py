@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import importlib.util
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ffrob import (
     check_principal_intersection,
     fedder_is_fpure,
     is_frobenius_closed,
+    is_reduced,
     jacobian_regularity_oracle,
     parse_polynomial,
     regularity_probe,
@@ -33,6 +35,8 @@ from ffrob.checks import (
     REGULAR,
     SINGULAR,
     UNSUPPORTED,
+    ProbeReport,
+    _structured_inputs,
 )
 from ffrob.poly import monomial_pool
 
@@ -324,6 +328,62 @@ def test_proposition_pipeline_dual_numbers():
     R_red = QuotientRing(D.field, D.names, list(N.groebner))
     assert fedder_is_fpure(R_red)
     assert jacobian_regularity_oracle(R_red) == REGULAR
+
+
+def _replay_probe(ring, config, e_list):
+    """regularity_probe's checks in its order, each built on its own by a
+    public checker: (verdict, trials, structured checks, first failure)."""
+    ideals, elems = _structured_inputs(ring)
+    structured = 0
+    element_checks = (check_principal_intersection, check_colon)
+    for e in e_list:
+        for I, x, chk in itertools.product(ideals, elems, element_checks):
+            structured += 1
+            rep = chk(ring, I, x, e)
+            if not rep.passed:
+                return NOT_REGULAR, 0, structured, rep
+        for pair in itertools.combinations(ideals, 2):
+            structured += 1
+            rep = check_intersection_family(ring, pair, e)
+            if not rep.passed:
+                return NOT_REGULAR, 0, structured, rep
+    for pos in range(config.count):
+        I, x = sample_ideal(ring, config, pos), sample_polynomial(ring, config, pos)
+        for e, chk in itertools.product(e_list, element_checks):
+            rep = chk(ring, I, x, e)
+            if not rep.passed:
+                return NOT_REGULAR, pos + 1, structured, rep
+    return NO_WITNESS_FOUND, config.count, structured, None
+
+
+_PROBE_RINGS = {
+    "F_2[x,y,z]": (2, ("x", "y", "z"), ()),
+    "F_3[x,y,z]": (3, ("x", "y", "z"), ()),
+    "cusp": (2, ("x", "y"), ("y^2+x^3",)),
+    "dual numbers": (2, ("x",), ("x^2",)),
+    "counterexample": (2, ("x", "y", "z", "w"), ("x^3", "x^2*z + y^2*w", "x*y", "y^3")),
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(_PROBE_RINGS)),
+    st.integers(1, 10**6),
+    st.integers(0, 8),
+    st.integers(1, 3),
+    st.sampled_from([(1,), (1, 2)]),
+)
+def test_probe_sharing_changes_no_answer(name, seed, count, max_degree, e_list):
+    # the probe builds both element identities of one (I, x, e) from one
+    # pair of eliminations; checking each identity on its own must agree
+    ring = make_ring(*_PROBE_RINGS[name])
+    config = SamplerConfig(seed=seed, count=count, max_degree=max_degree)
+    report = regularity_probe(ring, config, e_list)
+    verdict, trials, structured, failure = _replay_probe(ring, config, e_list)
+    expected = ProbeReport(verdict, ring.describe(), is_reduced(ring), trials, structured, failure, report.note)
+    assert report.to_dict() == expected.to_dict()
+    if failure is not None:
+        assert reverify_witness(report.first_failure, ring)
 
 
 def _load_tracer():

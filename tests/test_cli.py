@@ -186,6 +186,36 @@ def test_cli_fclosure_stops_at_largest_fitting_exponent(tmp_path):
     ]
 
 
+def test_cli_fclosure_of_constants_asks_once(tmp_path):
+    # with x and every generator of I constant, each e asks the same
+    # question, so only e = 0 is asked and reported; the timeout turns
+    # asking it once per e up to e_max into a failure
+    session = tmp_path / "fclosure.ffor"
+    session.write_text("ring p=2 vars=x\nideal Z = []\nelem u = 1\nfclosure u Z 99999999999999999999\n")
+    out = subprocess.run(
+        [sys.executable, "-m", "ffrob.cli", str(session), "--json"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [{"command": "fclosure", "result": False, "e": None, "e_max": 0}]
+
+
+def test_cli_element_checks_pass_on_elements_zero_in_the_ring(tmp_path):
+    # 0, and y^2+x^3, which lies in Q: (I : 0) is the unit ideal, and so is
+    # (I^[q] : 0), so both element identities hold
+    session = tmp_path / "zero.ffor"
+    lines = ["ring p=2 vars=x,y quotient=[y^2+x^3]", "ideal I = [x]", "elem z = 0", "elem q = y^2+x^3"]
+    for u in ("z", "q"):
+        lines += [f"check3 I {u} 1", f"check4 I {u} 1", f"check3 I {u} 2", f"check4 I {u} 2", f"colon I {u}"]
+    session.write_text("\n".join(lines) + "\n")
+    out = _run_cli([str(session)])
+    assert out.returncode == 0, out.stderr
+    answers = ["check3 -> PASS", "check4 -> PASS"] * 2 + ["colon -> [1]"]
+    assert out.stdout.splitlines() == answers * 2
+
+
 def test_cli_huge_frobroot_exponent_answers_as_at_32(tmp_path):
     # every exponent is below 2^32 <= p^32, so the root is the same for all
     # e >= 32; the timeout turns building p^e for a huge e into a failure
