@@ -19,6 +19,7 @@ from .errors import (
     ExponentOverflowError,
     FFrobError,
     ParseError,
+    PoolSizeError,
     RingMismatchError,
     UnsupportedOperationError,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "MonomialOrder",
     "NilradicalResult",
     "ParseError",
+    "PoolSizeError",
     "Polynomial",
     "PolyRing",
     "PrimeField",

@@ -13,6 +13,10 @@ class ExponentOverflowError(FFrobError):
     """A monomial exponent would exceed the 2^32 budget."""
 
 
+class PoolSizeError(FFrobError):
+    """A monomial pool would hold more than POOL_LIMIT monomials."""
+
+
 class UnsupportedOperationError(FFrobError):
     """The requested operation is not defined for this ring presentation."""
 

@@ -47,14 +47,11 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
     for f in I.gens:
         per_mu = {}
         for m, c in f.terms:
-            base = tuple(x // q for x in m)
+            # m is determined by (mu, base): no two terms share a bucket entry
             mu = tuple(x % q for x in m)
-            bucket = per_mu.setdefault(mu, {})
-            bucket[base] = (bucket.get(base, 0) + c) % I.ring.field.p
-        for mu, bucket in per_mu.items():
-            g = I.ring.ambient.poly(bucket)
-            if not g.is_zero:
-                pieces[g] = None
+            per_mu.setdefault(mu, {})[tuple(x // q for x in m)] = c
+        for bucket in per_mu.values():
+            pieces[I.ring.ambient.poly(bucket)] = None
     return Ideal(I.ring, list(pieces))
 
 

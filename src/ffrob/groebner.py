@@ -12,14 +12,15 @@ monomial and its coefficient: the packing of `ffrob.poly`, which defines
 the order.
 
 One division loop, `_divide`, serves Buchberger's S-polynomial and
-generator reductions, the tail reduction of the final basis, and the
-public `normal_form`; `poly_divmod`, the one-divisor division with a
-quotient, is the same loop recording the quotient.  Each keeps its
-working terms in a heap of negated packed monomials, largest first
-(Johnson 1974; Monagan & Pearce 2011).  A term that cancels keeps its
-heap entry, with coefficient 0, and is skipped when popped; every term a
-reduction step adds is smaller than the one being reduced, so a monomial
-never comes back once popped.  S-pairs wait in a heap of (lcm degree,
+generator reductions, the tail reduction of the final basis, the public
+`normal_form`, and `poly_divmod`, which runs it over one divisor and has
+it record each reduction step's cofactor: the quotient.  Every divisor
+is made monic by one helper, `_head`.  The loop keeps its working terms
+in a heap of negated packed monomials, largest first (Johnson 1974;
+Monagan & Pearce 2011).  A term that cancels keeps its heap entry, with
+coefficient 0, and is skipped when popped; every term a reduction step
+adds is smaller than the one being reduced, so a monomial never comes
+back once popped.  S-pairs wait in a separate heap of (lcm degree,
 creation index), the same order as the normal strategy above.
 Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
 `s_polynomial`, `_buchberger_core`) and unpacked on the way out, in
@@ -40,26 +41,25 @@ from operator import itemgetter, mul
 from .poly import MonomialOrder, Polynomial, PolyRing, _Packing
 
 
-def _lc_inverse(g: Polynomial) -> int:
+def _head(terms, field) -> tuple:
+    """The divisor of `_divide` for packed terms in descending order:
+    (leading monomial, tail / leading coefficient)."""
+    lm, lc = terms[0]
     # every Buchberger basis element is monic: most divisors need no inverse
-    lc = g.leading_coeff
-    return 1 if lc == 1 else g.ring.field.inv(lc)
+    inv = 1 if lc == 1 else field.inv(lc)
+    p = field.p
+    return lm, [(m, c * inv % p) for m, c in terms[1:]]
 
 
-def _head(g: Polynomial):
-    """(leading monomial, tail of g / lc(g)), packed: a divisor of `_divide`."""
-    terms = g.ring.packing.terms(g.terms)
-    p, inv = g.ring.field.p, _lc_inverse(g)
-    return terms[0][0], [(m, c * inv % p) for m, c in terms[1:]]
-
-
-def _divide(work, heads, p: int, pk: _Packing) -> list:
+def _divide(work, heads, p: int, pk: _Packing, quot=None) -> list:
     """Remainder of the polynomial `work` on division by `heads`.
 
     work maps packed monomials to coefficients, zeros allowed, and is
     consumed.  Each head is (leading monomial, monic tail), as built by
     `_head`; the first head whose lead divides a term reduces it.
-    Returns the remainder's packed terms in descending order."""
+    Returns the remainder's packed terms in descending order.  Given a
+    list quot, each reduction step appends (cofactor, coefficient) to it:
+    with one head, quot is then the quotient, in descending order."""
     guard = pk.guard
     # every monomial of work has one heap entry; a cancelled term stays in
     # work with coefficient 0 until it is popped
@@ -74,6 +74,8 @@ def _divide(work, heads, p: int, pk: _Packing) -> list:
         for head in heads:
             d = m - head[0]
             if not d & guard:  # lm divides m, and d is the cofactor
+                if quot is not None:
+                    quot.append((d, c))
                 for gm, gc in head[1]:
                     t = gm + d
                     v = work.get(t)
@@ -122,7 +124,7 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
         return f
     ring = f.ring
     pk = ring.packing
-    heads = [_head(g) for g in basis]
+    heads = [_head(pk.terms(g.terms), ring.field) for g in basis]
     return pk.polynomial(ring, _divide(dict(pk.terms(f.terms)), heads, ring.field.p, pk))
 
 
@@ -130,36 +132,14 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     """Single-divisor division: returns (q, r) with f = q*g + r and no
     term of r divisible by the leading monomial of g."""
     ring = f.ring
-    p, pk = ring.field.p, ring.packing
-    guard = pk.guard
-    (lm, _), *tail = pk.terms(g.terms)
-    lcinv = _lc_inverse(g)
-    work = dict(pk.terms(f.terms))  # as in _divide: one heap entry per monomial
-    heap = [-m for m in work]
-    heapify(heap)
+    field, pk = ring.field, ring.packing
     quot = []
-    rem = []
-    while heap:
-        m = -heappop(heap)
-        c = work.pop(m)
-        if not c:
-            continue
-        d = m - lm
-        if not d & guard:  # lm divides m, and d is the cofactor
-            fc = c * lcinv % p
-            quot.append((d, fc))
-            for gm, gc in tail:
-                t = gm + d
-                v = work.get(t)
-                if v is None:
-                    if t & guard:
-                        pk.overflow(t)
-                    heappush(heap, -t)
-                    v = 0
-                work[t] = (v - fc * gc) % p
-        else:
-            rem.append((m, c))
-    # m runs strictly downwards, and so does m / lm(g): both lists are canonical
+    head = _head(pk.terms(g.terms), field)
+    rem = _divide(dict(pk.terms(f.terms)), [head], field.p, pk, quot)
+    lc = g.leading_coeff
+    if lc != 1:  # quot is the quotient by the monic head: scale it by 1/lc(g)
+        inv, p = field.inv(lc), field.p
+        quot = [(d, c * inv % p) for d, c in quot]
     return pk.polynomial(ring, quot), pk.polynomial(ring, rem)
 
 
@@ -174,7 +154,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
     pk = ring.packing
     lcm = pk.pack(map(max, f.leading_monomial, g.leading_monomial))
-    work = _spair(lcm, _head(f), _head(g), ring.field.p, pk)
+    a, b = (_head(pk.terms(h.terms), ring.field) for h in (f, g))
+    work = _spair(lcm, a, b, ring.field.p, pk)
     return pk.polynomial(ring, sorted([t for t in work.items() if t[1]], reverse=True))
 
 
@@ -206,14 +187,13 @@ def _buchberger_core(gens):
 
     def adjoin(rem):
         nonlocal serial
-        lm, lc = rem[0]
-        inv = 1 if lc == 1 else ring.field.inv(lc)
-        lead = pk.unpack(lm)
+        head = _head(rem, ring.field)
+        lead = pk.unpack(head[0])
         j = len(G)
         for i in range(j):
             heappush(pairs, (sum(map(max, leads[i], lead)), serial, i, j))
             serial += 1
-        G.append((lm, [(m, c * inv % p) for m, c in rem[1:]]))
+        G.append(head)
         leads.append(lead)
 
     for g in gens:

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from operator import add, itemgetter, mul
 
-from .errors import ExponentOverflowError, RingMismatchError
+from .errors import ExponentOverflowError, PoolSizeError, RingMismatchError
 from .field import PrimeField
 
 EXP_LIMIT = 2**32
@@ -220,15 +221,28 @@ class PolyRing:
 # the same one twice per trial.
 _POOL_CACHE_SIZE = 4
 
+# The most monomials a pool may hold; a degree bound past it is refused
+# before anything is built.
+POOL_LIMIT = 2**20
+
 
 @functools.lru_cache(maxsize=_POOL_CACHE_SIZE)
 def monomial_pool(S: PolyRing, max_degree: int) -> tuple:
     """Monomials of S of degree at most max_degree in ascending monomial
-    order, so the constant monomial comes first."""
+    order, so the constant monomial comes first.  Raises PoolSizeError
+    if there are more than POOL_LIMIT of them."""
+    n = S.nvars
+    size = math.comb(n + max_degree, max_degree)
+    if size > POOL_LIMIT:
+        raise PoolSizeError(
+            f"{n} variables have {size} monomials of degree at most {max_degree},"
+            f" more than the {POOL_LIMIT} a pool may hold"
+        )
+    # a multiset of max_degree indices in 0..n is one such monomial: index
+    # i < n counts towards the exponent of x_i, and index n towards none
     pool = [
-        exps
-        for exps in itertools.product(range(max_degree + 1), repeat=S.nvars)
-        if sum(exps) <= max_degree
+        tuple(map(picks.count, range(n)))
+        for picks in itertools.combinations_with_replacement(range(n + 1), max_degree)
     ]
     pool.sort(key=S.packing.pack)
     return tuple(pool)
@@ -274,13 +288,8 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
         acc = dict(self.terms)
-        p = self.ring.field.p
         for m, c in other.terms:
-            v = (acc.get(m, 0) + c) % p
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
+            acc[m] = acc.get(m, 0) + c
         return self.ring.poly(acc)
 
     def __neg__(self) -> "Polynomial":
@@ -292,18 +301,13 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        p = self.ring.field.p
         acc = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:
                 m = tuple(map(add, ma, mb))
                 if m and max(m) >= EXP_LIMIT:
                     _overflow(m)
-                v = (acc.get(m, 0) + ca * cb) % p
-                if v:
-                    acc[m] = v
-                else:
-                    acc.pop(m, None)
+                acc[m] = acc.get(m, 0) + ca * cb
         return self.ring.poly(acc)
 
     def scale(self, c: int) -> "Polynomial":
@@ -340,15 +344,9 @@ class Polynomial:
     def derivative(self, i: int) -> "Polynomial":
         """Formal partial derivative in variable i (coefficients mod p)."""
         acc = {}
-        p = self.ring.field.p
         for m, c in self.terms:
-            if m[i] == 0:
-                continue
-            nc = c * (m[i] % p) % p
-            if nc == 0:
-                continue
-            nm = m[:i] + (m[i] - 1,) + m[i + 1 :]
-            acc[nm] = (acc.get(nm, 0) + nc) % p
+            if m[i]:
+                acc[m[:i] + (m[i] - 1,) + m[i + 1 :]] = c * m[i]
         return self.ring.poly(acc)
 
     def convert(self, ring: PolyRing) -> "Polynomial":

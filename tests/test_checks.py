@@ -2,6 +2,9 @@ import dataclasses
 import importlib
 import itertools
 import importlib.util
+import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,19 @@ def test_monomial_pool_is_in_ascending_monomial_order():
     assert len(pool) == 20
     assert pool[:6] == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 0, 2), (0, 1, 1))
     assert pool[-6:] == ((1, 1, 1), (2, 0, 1), (0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0))
+
+
+def test_monomial_pool_enumerates_only_the_monomials_it_keeps():
+    # 14 variables at degree 3 keep 680 of 4^14 exponent tuples: filtering
+    # all of them overruns the timeout, enumerating the 680 takes a few ms
+    script = (
+        "from ffrob import PolyRing, PrimeField\n"
+        "from ffrob.poly import monomial_pool\n"
+        "S = PolyRing(PrimeField(2), [f'x{i}' for i in range(14)])\n"
+        "print(len(set(monomial_pool(S, 3))))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=20)
+    assert out.stdout == f"{math.comb(17, 3)}\n"
 
 
 def test_monomial_pool_is_built_once_per_ring_and_degree():

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -166,6 +167,26 @@ def test_cli_power_past_the_exponent_budget_fails_before_multiplying(tmp_path, e
     # the largest power in budget still parses
     top = parse_polynomial("(x*y^2)^2147483647", R5)
     assert top == R5.monomial((2147483647, 4294967294))
+
+
+def test_cli_probe_past_the_pool_limit_is_an_error(tmp_path):
+    # x,y have C(100002, 2) monomials of degree at most 100000; the pool
+    # is refused before it is built, so the child never nears its 1 GiB cap
+    session = tmp_path / "pool.ffor"
+    session.write_text("ring p=2 vars=x,y\nprobe --max-degree 100000\n")
+    cap = 2**30
+    out = subprocess.run(
+        [sys.executable, "-m", "ffrob.cli", str(session)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert out.returncode == 1
+    assert out.stderr == (
+        "ffor: error: 2 variables have 5000150001 monomials of degree at most"
+        " 100000, more than the 1048576 a pool may hold\n"
+    )
 
 
 def test_cli_negative_default_count_is_an_error():

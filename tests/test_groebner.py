@@ -24,7 +24,7 @@ from ffrob import (
     poly_ideal_intersect,
     regularity_probe,
 )
-from ffrob.groebner import poly_divmod, s_polynomial
+from ffrob.groebner import poly_divexact, poly_divmod, s_polynomial
 
 from oracles import order_key, reference_divmod, reference_normal_form, span_membership
 
@@ -357,6 +357,13 @@ def test_division_when_a_cancelled_term_reappears(p, order, f, g):
 )
 def test_heap_division_matches_max_driven_reference(order, p, f, basis):
     _check_division(p, order, f, basis)
+
+
+def test_exact_division_refuses_a_remainder():
+    x, y = R.variables()
+    assert poly_divexact(x * y + x, x) == y + R.one()
+    with pytest.raises(ValueError, match="not an exact multiple"):
+        poly_divexact(x * y + R.one(), x)
 
 
 # --- the exponent budget in division and S-polynomials -------------------
