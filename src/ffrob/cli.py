@@ -76,14 +76,15 @@ _COMMANDS = {
     "probe": "flags",
 }
 
-# probe flag -> least accepted value (None: any integer)
+# probe flag -> (least, greatest) accepted value (None: no bound); the
+# sampler loops once per term and per generator, so those two are capped
 _PROBE_FLAGS = {
-    "--count": 0,
-    "--seed": None,
-    "--max-degree": 0,
-    "--max-terms": 1,
-    "--max-generators": 1,
-    "--emax": 1,
+    "--count": (0, None),
+    "--seed": (None, None),
+    "--max-degree": (0, None),
+    "--max-terms": (1, 1000),
+    "--max-generators": (1, 1000),
+    "--emax": (1, None),
 }
 
 
@@ -193,9 +194,11 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
                 raise ParseError(f"invalid flag {rest[i]!r} for {name}", lineno)
             if i + 1 >= len(rest) or not re.fullmatch(r"-?\d+", rest[i + 1]):
                 raise ParseError(f"flag {rest[i]} needs an integer value", lineno)
-            value, least = int(rest[i + 1]), _PROBE_FLAGS[rest[i]]
+            value, (least, greatest) = int(rest[i + 1]), _PROBE_FLAGS[rest[i]]
             if least is not None and value < least:
                 raise ParseError(f"flag {rest[i]} must be at least {least}, got {value}", lineno)
+            if greatest is not None and value > greatest:
+                raise ParseError(f"flag {rest[i]} must be at most {greatest}, got {value}", lineno)
             flags[rest[i].lstrip("-").replace("-", "_")] = value
             i += 2
         return Command(lineno, name, [], flags)

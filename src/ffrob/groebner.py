@@ -23,14 +23,15 @@ adds is smaller than the one being reduced, so a monomial never comes
 back once popped.  S-pairs wait in a separate heap of (lcm degree,
 creation index), the same order as the normal strategy above.
 Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
-`s_polynomial`, `_buchberger_core`) and unpacked on the way out, in
-canonical order, so no result is re-sorted.
+`s_polynomial`, `buchberger`) and unpacked on the way out, in canonical
+order, so no result is re-sorted.  `_buchberger_core` sees packed terms
+only: it takes work dicts, the field and a packing, and returns the
+reduced basis as heads.  `buchberger` is its one polynomial entry point.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
-preimages) runs through `_eliminate`, whose fresh variables are named by
-a run of underscores that no name of the caller's ring starts with.  It
-takes (exponent tuple, coefficient) term lists in any order and sorts
-them by packed monomial: under block(k) in, under the ring's order out.
+preimages) runs through `_eliminate`.  It packs the builders' term
+lists under block(k) on k + n variables, runs the core on them, and
+sorts only the basis elements it keeps into the caller's ring.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
-from .poly import MonomialOrder, Polynomial, PolyRing, _Packing
+from .poly import MonomialOrder, Polynomial, PolyRing, _Packing, _packing
 
 
 def _head(terms, field) -> tuple:
@@ -168,15 +169,17 @@ def buchberger(gens):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    return _buchberger_core(gens)
-
-
-def _buchberger_core(gens):
-    """Reduced Groebner basis of nonzero generators of one ring, in the
-    order given."""
     ring = gens[0].ring
-    p = ring.field.p
     pk = ring.packing
+    basis = _buchberger_core([dict(pk.terms(g.terms)) for g in gens], ring.field, pk)
+    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in basis]
+
+
+def _buchberger_core(works, field, pk: _Packing) -> list:
+    """Reduced Groebner basis of `works`, dicts of terms packed by pk that
+    are consumed in the order given, as heads (lm, tail) in descending
+    order of lm."""
+    p = field.p
     guard = pk.guard
     G = []  # the basis as heads of `_divide`: monic, packed
     leads = []  # leads[k] is G[k]'s leading exponent tuple
@@ -187,7 +190,7 @@ def _buchberger_core(gens):
 
     def adjoin(rem):
         nonlocal serial
-        head = _head(rem, ring.field)
+        head = _head(rem, field)
         lead = pk.unpack(head[0])
         j = len(G)
         for i in range(j):
@@ -196,8 +199,8 @@ def _buchberger_core(gens):
         G.append(head)
         leads.append(lead)
 
-    for g in gens:
-        rem = _divide(dict(pk.terms(g.terms)), G, p, pk)
+    for work in works:
+        rem = _divide(work, G, p, pk)
         if rem:
             adjoin(rem)
 
@@ -218,12 +221,12 @@ def _buchberger_core(gens):
             rem = _divide(_spair(lcm, G[i], G[j], p, pk), G, p, pk)
             if rem:
                 adjoin(rem)
-    return _reduce_basis(ring, G, pk)
+    return _reduce_basis(G, p, pk)
 
 
-def _reduce_basis(ring: PolyRing, G, pk: _Packing):
+def _reduce_basis(G, p: int, pk: _Packing) -> list:
     """Minimize and tail-reduce the heads of a Groebner basis into the
-    reduced basis, as polynomials in descending order of their leads."""
+    reduced basis, as heads in descending order of their leads."""
     guard = pk.guard
     # drop heads whose lead is divisible by another's: in ascending order a
     # divisor, never bigger, is met first, so one pass against the kept
@@ -233,37 +236,32 @@ def _reduce_basis(ring: PolyRing, G, pk: _Packing):
         if all((head[0] - lm) & guard for lm, _ in kept):
             kept.append(head)
     # tail-reduce each against the rest; no other lead divides its lead
-    p = ring.field.p
     for i, (lm, tail) in enumerate(kept):
         kept[i] = (lm, _divide(dict(tail), kept[:i] + kept[i + 1 :], p, pk))
     kept.sort(key=itemgetter(0), reverse=True)
-    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in kept]
+    return kept
 
 
 def _eliminate(ring: PolyRing, k: int, gens):
     """Generators of (ideal ∩ ring) for the ideal that gens generate.
 
-    gens are term lists, as `_Packing.sort` takes them, of aux: `ring`
-    with k fresh variables adjoined in front, ordered block(k).  Each fresh
-    name is a run of underscores that no name of `ring` starts with, then
-    its index, so none can collide with a name of `ring`.  The reduced
-    basis elements free of the fresh block are projected back into `ring`."""
-    run = "_" * (1 + max((len(s) - len(s.lstrip("_")) for s in ring.names), default=0))
-    fresh = tuple(f"{run}{i}" for i in range(k))
-    aux = PolyRing(ring.field, fresh + ring.names, MonomialOrder.block(k))
-    lift, drop = aux.packing, ring.packing
-    # block(k) ranks any monomial involving the fresh block above every one
-    # free of it, so an element is free of it exactly when its lead is
+    gens are term lists, as `_Packing.terms` takes them, on k variables to
+    eliminate followed by those of `ring`.  They are packed under block(k);
+    the reduced basis elements free of the first k are projected into `ring`."""
+    lift = _packing(MonomialOrder.block(k), k + ring.nvars)
+    basis = _buchberger_core([dict(lift.terms(terms)) for terms in gens], ring.field, lift)
+    # block(k) ranks any monomial involving the first k variables above
+    # every one free of them, so an element is free of them exactly when its lead is
     return [
-        drop.sort(ring, [(m[k:], c) for m, c in g.terms])
-        for g in buchberger([lift.sort(aux, terms) for terms in gens])
-        if not any(g.leading_monomial[:k])
+        ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in [(lm, 1)] + tail])
+        for lm, tail in basis
+        if not any(lift.unpack(lm)[:k])
     ]
 
 
 def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
     """Intersection of two polynomial ideals of `ring`: eliminates t from
-    t·A + (1-t)·B, with t the one fresh variable."""
+    t·A + (1-t)·B, with t the one variable put in front."""
     p = ring.field.p
     mixed = [[((1,) + m, c) for m, c in f.terms] for f in gens_a]
     for g in gens_b:
@@ -278,7 +276,7 @@ def elimination_ideal(gens, k: int):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
-    # the fresh block stands in for the first k variables, which stay at 0
+    # the eliminated block stands in for the first k variables, which stay at 0
     pad = (0,) * k
     lifted = [[(m[:k] + pad + m[k:], c) for m, c in g.terms] for g in gens]
     return _eliminate(gens[0].ring, k, lifted)

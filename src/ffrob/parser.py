@@ -7,10 +7,11 @@ is ignored.  Coefficients are reduced mod p on the fly.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import ExponentOverflowError, ParseError
-from .poly import EXP_LIMIT, Polynomial, PolyRing
+from .poly import EXP_LIMIT, POOL_LIMIT, Polynomial, PolyRing
 
 NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable name, as the tokenizer reads one
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|([()+\-*^]))")
@@ -34,6 +35,22 @@ def _tokenize(text: str):
             tokens.append(("op", m.group(3)))
         pos = m.end()
     return tokens
+
+
+def _product(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b, refused before multiplying if it could have more than
+    POOL_LIMIT terms: it has at most |a|·|b|, and at most one per monomial
+    whose exponent of each x_i is at most deg_i a + deg_i b."""
+    bound = len(a.terms) * len(b.terms)
+    if bound > POOL_LIMIT:
+        degrees = [map(max, zip(*(m for m, _ in f.terms))) for f in (a, b)]
+        bound = min(bound, math.prod(d + e + 1 for d, e in zip(*degrees)))
+        if bound > POOL_LIMIT:
+            raise ParseError(
+                f"a product could have {bound} terms, more than the {POOL_LIMIT}"
+                " a parsed polynomial may hold"
+            )
+    return a * b
 
 
 class _Parser:
@@ -77,7 +94,7 @@ class _Parser:
         result = self.factor()
         while self.peek() == ("op", "*"):
             self.take()
-            result = result * self.factor()
+            result = _product(result, self.factor())
         return result
 
     def factor(self) -> Polynomial:
@@ -97,10 +114,10 @@ class _Parser:
             acc = base
             while n:
                 if n & 1:
-                    result = result * acc
+                    result = _product(result, acc)
                 n >>= 1
                 if n:
-                    acc = acc * acc
+                    acc = _product(acc, acc)
             return result
         return base
 

@@ -102,9 +102,10 @@ _FIELD_MASK = (1 << _FIELD) - 1
 class _Packing:
     """The packed monomials of one monomial order on n variables."""
 
-    __slots__ = ("units", "guard", "shifts")
+    __slots__ = ("order", "units", "guard", "shifts")
 
     def __init__(self, order: MonomialOrder, n: int):
+        self.order = order
         # the variables each key field sums, most significant field first:
         # x_1..x_k alone (k is n for lex, 0 for grevlex), then grevlex
         k = n if order.kind == LEX else min(order.nblock, n)

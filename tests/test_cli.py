@@ -169,24 +169,63 @@ def test_cli_power_past_the_exponent_budget_fails_before_multiplying(tmp_path, e
     assert top == R5.monomial((2147483647, 4294967294))
 
 
-def test_cli_probe_past_the_pool_limit_is_an_error(tmp_path):
-    # x,y have C(100002, 2) monomials of degree at most 100000; the pool
-    # is refused before it is built, so the child never nears its 1 GiB cap
-    session = tmp_path / "pool.ffor"
-    session.write_text("ring p=2 vars=x,y\nprobe --max-degree 100000\n")
+def _run_capped(session):
+    """`ffor session` in a child capped at 1 GiB of address space and 60 s."""
     cap = 2**30
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "ffrob.cli", str(session)],
         capture_output=True,
         text=True,
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def test_cli_probe_past_the_pool_limit_is_an_error(tmp_path):
+    # x,y have C(100002, 2) monomials of degree at most 100000; the pool
+    # is refused before it is built, so the child never nears its 1 GiB cap
+    session = tmp_path / "pool.ffor"
+    session.write_text("ring p=2 vars=x,y\nprobe --max-degree 100000\n")
+    out = _run_capped(session)
     assert out.returncode == 1
     assert out.stderr == (
         "ffor: error: 2 variables have 5000150001 monomials of degree at most"
         " 100000, more than the 1048576 a pool may hold\n"
     )
+
+
+@pytest.mark.parametrize("flag", ["--max-terms", "--max-generators"])
+def test_cli_probe_past_the_sampler_limit_is_an_error(tmp_path, flag):
+    # the sampler loops once per term and per generator, so a huge bound
+    # would run without end; it is refused while the session is parsed
+    session = tmp_path / "sampler.ffor"
+    session.write_text(f"ring p=2 vars=x,y\nprobe --count 1 {flag} 1000000000\n")
+    out = _run_capped(session)
+    assert out.returncode == 1
+    assert out.stderr == f"ffor: error: line 2: flag {flag} must be at most 1000, got 1000000000\n"
+    session.write_text(f"ring p=2 vars=x,y\nprobe --count 1 {flag} 1000\n")
+    assert _run_cli([str(session)]).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "expr, bound", [("(x+1)^4294967295", 2097152), ("(x+1)^2047*(y+1)^2047", 4194304)]
+)
+def test_cli_product_past_the_term_limit_is_an_error(tmp_path, expr, bound):
+    # n*e = 2^32 - 1 is within the exponent budget, but (x+1)^(2^32 - 1)
+    # over F_2 has 2^32 terms: square-and-multiply stops at the first
+    # product that could have more than 2^20, as does a product of factors
+    session = tmp_path / "product.ffor"
+    session.write_text(f"ring p=2 vars=x,y\nelem u = {expr}\n")
+    out = _run_capped(session)
+    assert out.returncode == 1
+    assert out.stderr == (
+        f"ffor: error: line 2: a product could have {bound} terms, more than the"
+        " 1048576 a parsed polynomial may hold\n"
+    )
+    # the bound counts both factors' terms and their degrees
+    assert len(parse_polynomial("(x+1)^1024", PolyRing(PrimeField(3), ("x",))).terms) == 144
+    R2 = PolyRing(PrimeField(2), ("x", "y"))
+    assert parse_polynomial("(x+y)^1048576", R2) == R2.poly({(2**20, 0): 1, (0, 2**20): 1})
 
 
 def test_cli_negative_default_count_is_an_error():

@@ -142,7 +142,7 @@ def test_intersection_contains_products(picks):
     assert normal_form(common, buchberger(meet)).is_zero
 
 
-# --- one elimination routine: the lead filter and the fresh names ---------
+# --- one elimination routine: the lead filter and the ring names ----------
 
 _ELIM_TERMS = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 3), st.integers(1, 2), min_size=1, max_size=3
@@ -165,9 +165,10 @@ def test_block_lead_decides_whether_an_element_is_eliminated(k, p, terms):
     assert elimination_ideal(gens, k) == free
 
 
-# Names that were or are fresh names of an elimination: `_t` and `__f_x`
-# before, a run of underscores and an index now.  Each clashing ring is
-# compared with the same exponents in F_p[x,y,z].
+# An elimination works on packed exponents alone, so the names of the
+# ring never reach it.  These names once clashed with the names an
+# elimination invented for its extra variables (`_t`, `__f_x`, runs of
+# underscores); each ring is compared with the same exponents in F_p[x,y,z].
 CLASHING_NAMES = [("x", "__f_x", "_t"), ("_", "__", "_0"), ("_0", "__0", "___0")]
 _CUSP = {(0, 2, 0): 1, (3, 0, 0): 1}  # y^2 + x^3
 _I = [{(1, 0, 0): 1}, {(0, 0, 2): 1}]  # (x, z^2)
@@ -219,9 +220,9 @@ def _is_canonical(f):
 
 
 def test_eliminations_build_generators_without_re_sorting(core_calls):
-    # the builders hand term lists to _eliminate, which orders them by
-    # packed key: no canonicalizing, multiplying or tuple keys on the way,
-    # and every polynomial in and out is still in canonical order
+    # the builders hand term lists to _eliminate, which packs them for the
+    # core: no ring, canonicalizing, multiplying or tuple keys on the way,
+    # and every polynomial out is in canonical order
     S = QuotientRing(PrimeField(3), ("x", "y", "z"))
     x, y, z = S.ambient.variables()
     I = S.ideal([x * x + y * z, x * y * y + z.scale(2)])
@@ -229,7 +230,12 @@ def test_eliminations_build_generators_without_re_sorting(core_calls):
     K = S.ideal([x * x * y, z * z * z + x * y])
     calls = {}
     with pytest.MonkeyPatch.context() as mp:
-        for cls, name in ((PolyRing, "poly"), (Polynomial, "__mul__"), (MonomialOrder, "key")):
+        for cls, name in (
+            (PolyRing, "__init__"),
+            (PolyRing, "poly"),
+            (Polynomial, "__mul__"),
+            (MonomialOrder, "key"),
+        ):
 
             def counting(*args, _original=getattr(cls, name), _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -240,7 +246,6 @@ def test_eliminations_build_generators_without_re_sorting(core_calls):
         root = frobenius_kernel_preimage(K)
     assert calls == {}
     assert len(core_calls) == 2
-    assert all(_is_canonical(g) for gens in core_calls for g in gens)
     assert all(_is_canonical(g) for g in meet.gens + root.gens)
     assert all(I.contains(g) and J.contains(g) for g in meet.gens)
     assert all(meet.contains(g * h) for g in I.gens for h in J.gens)
@@ -255,16 +260,25 @@ _POLY = st.lists(_TERM, min_size=1, max_size=3).map(lambda ts: R3.poly(dict(ts))
 
 @pytest.fixture
 def core_calls(monkeypatch):
-    """The inputs of every Buchberger run during one test."""
+    """The inputs of every Buchberger run during one test, as (packing,
+    work dicts); the core consumes its work dicts, so they are copied."""
     calls = []
     core = groebner._buchberger_core
 
-    def counting_core(gens):
-        calls.append(gens)
-        return core(gens)
+    def counting_core(works, field, pk):
+        calls.append((pk, [dict(w) for w in works]))
+        return core(works, field, pk)
 
     monkeypatch.setattr(groebner, "_buchberger_core", counting_core)
     return calls
+
+
+def _core_basis(gens):
+    """The reduced basis of gens straight from the packed core."""
+    ring = gens[0].ring
+    pk = ring.packing
+    basis = groebner._buchberger_core([dict(pk.terms(g.terms)) for g in gens], ring.field, pk)
+    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in basis]
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,11 +286,11 @@ def core_calls(monkeypatch):
 def test_memo_matches_core_under_shuffle_and_duplicates(gens, data):
     extra = data.draw(st.lists(st.sampled_from(gens), max_size=2))
     presented = data.draw(st.permutations(gens + extra))
-    reference = groebner._buchberger_core(gens)
+    reference = _core_basis(gens)
     assert buchberger(gens) == reference
     assert buchberger(presented) == reference
     lex = PolyRing(R3.field, R3.names, MonomialOrder.lex())
-    lex_reference = groebner._buchberger_core([g.convert(lex) for g in gens])
+    lex_reference = _core_basis([g.convert(lex) for g in gens])
     assert buchberger([g.convert(lex) for g in presented]) == lex_reference
 
 
@@ -296,7 +310,10 @@ def test_probe_core_run_census_is_pinned(core_calls):
     # their sides apart, as before, this probe ran 115 times on 98 inputs
     rep = regularity_probe(QuotientRing(F2, ("x", "y")), SamplerConfig(seed=1, count=20))
     assert rep.verdict == "NO_WITNESS_FOUND"
-    distinct = {(gens[0].ring, frozenset(g.terms for g in gens)) for gens in core_calls}
+    distinct = {
+        (pk.order, len(pk.units), frozenset(frozenset(w.items()) for w in works))
+        for pk, works in core_calls
+    }
     assert (len(core_calls), len(distinct)) == (65, 61)
 
 
@@ -517,10 +534,10 @@ def test_highp_bases_match_the_recorded_digest(monkeypatch):
     bases = []
     core = groebner._buchberger_core
 
-    def recording_core(gens):
-        basis = core(gens)
-        ring = gens[0].ring
-        bases.append((repr(ring.order), ring.nvars, [g.terms for g in basis]))
+    def recording_core(works, field, pk):
+        basis = core(works, field, pk)
+        terms = [tuple((pk.unpack(m), c) for m, c in [(lm, 1)] + tail) for lm, tail in basis]
+        bases.append((repr(pk.order), len(pk.units), terms))
         return basis
 
     monkeypatch.setattr(groebner, "_buchberger_core", recording_core)

@@ -1,6 +1,7 @@
 """Source checks that stand in for a linter."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,30 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+
+def _names(node):
+    """How often each name occurs in node as a Name or an Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_definition_is_referenced():
+    # a private def or class that nothing in the package names, outside
+    # its own body, is dead code
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_PACKAGE.glob("*.py"))]
+    used = sum(map(_names, trees), Counter())
+    private = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert private
+    assert [node.name for node in private if used[node.name] == _names(node)[node.name]] == []
