@@ -12,6 +12,11 @@ shell-level test suite.
     elem u = y
     check2 I J 1
     probe --count 200 --seed 1
+
+`_COMMANDS` is the one definition of the commands: it maps each name to
+its argument kinds, which `_parse_command` checks and resolves against
+the declared ideals and elements, and to the handler `run_command`
+calls with the ring, the session's settings and those arguments.
 """
 
 from __future__ import annotations
@@ -46,34 +51,75 @@ from .ideals import Ideal, QuotientRing
 from .parser import NAME, parse_polynomial
 from .poly import PolyRing
 
-_RING_RE = re.compile(
-    r"^ring\s+p=(\d+)\s+vars=([A-Za-z_0-9,]+)(?:\s+quotient=\[(.*)\])?\s*$"
-)
-_IDEAL_RE = re.compile(rf"^ideal\s+({NAME})\s*=\s*\[(.*)\]\s*$")
-_ELEM_RE = re.compile(rf"^elem\s+({NAME})\s*=\s*(.+)$")
+_RING_RE = re.compile(r"^ring\s+p=(\d+)\s+vars=([A-Za-z_0-9,]+)(?:\s+quotient=\[(.*)\])?\s*$")
+# declaration -> (its pattern: name, then body; the noun its errors use)
+_DECLARATIONS = {
+    "ideal": (re.compile(rf"^ideal\s+({NAME})\s*=\s*\[(.*)\]\s*$"), "ideal"),
+    "elem": (re.compile(rf"^elem\s+({NAME})\s*=\s*(.+)$"), "element"),
+}
 
 # what a session runs with when the command line does not say
 _DEFAULTS = {"seed": 1, "count": 50, "emax": 4}
 
+
+def _basis(I: Ideal):
+    return {"result": [str(g) for g in I.groebner]}
+
+
+def _outcome(report):
+    fields = report.to_dict()
+    return {**fields, "result": fields["outcome"]}
+
+
+def _nilradical(ring, settings):
+    res = nilradical_char_p(ring)
+    return {**_basis(res.ideal), "steps": res.steps, "q": res.q}
+
+
+def _fclosure(ring, settings, x, I, e_max=None):
+    bound = closure_search_bound(x, I, settings["emax"] if e_max is None else e_max)
+    hit, e = frobenius_closure_test(x, I, bound)
+    return {"result": hit, "e": e, "e_max": bound}
+
+
+def _probe(ring, settings, flags):
+    sampler = {"seed": settings["seed"], "count": settings["count"], **flags}
+    e_hi = sampler.pop("emax", 1)
+    return _outcome(regularity_probe(ring, SamplerConfig(**sampler), e_list=range(1, e_hi + 1)))
+
+
+# command -> (argument kinds, handler).  A kind is "ideal", "elem", "int"
+# (at least 0), "int+" (at least 1) or "int?" (optional); "flags" is a run
+# of probe flags, passed on as one dict.  A handler takes (ring, settings,
+# *args) and returns the report fields that follow "command".
 _COMMANDS = {
-    "gb": ("ideal",),
-    "intersect": ("ideal", "ideal"),
-    "colon": ("ideal", "elem"),
-    "member": ("elem", "ideal"),
-    "equal": ("ideal", "ideal"),
-    "sum": ("ideal", "ideal"),
-    "bracket": ("ideal", "int"),
-    "frobroot": ("ideal", "int+"),
-    "fkernel": ("ideal",),
-    "nilradical": (),
-    "reduced": (),
-    "fclosure": ("elem", "ideal", "int?"),
-    "check2": ("ideal", "ideal", "int?"),
-    "check3": ("ideal", "elem", "int?"),
-    "check4": ("ideal", "elem", "int?"),
-    "fedder": (),
-    "jacobian": (),
-    "probe": "flags",
+    "gb": (("ideal",), lambda ring, s, I: _basis(I)),
+    "intersect": (("ideal", "ideal"), lambda ring, s, I, J: _basis(I.intersect(J))),
+    "colon": (("ideal", "elem"), lambda ring, s, I, x: _basis(I.colon(x))),
+    "member": (("elem", "ideal"), lambda ring, s, x, I: {"result": I.contains(x)}),
+    "equal": (("ideal", "ideal"), lambda ring, s, I, J: {"result": I == J}),
+    "sum": (("ideal", "ideal"), lambda ring, s, I, J: _basis(I + J)),
+    "bracket": (("ideal", "int"), lambda ring, s, I, e: _basis(bracket_power(I, e))),
+    "frobroot": (("ideal", "int+"), lambda ring, s, I, e: _basis(frobenius_root(I, e))),
+    "fkernel": (("ideal",), lambda ring, s, I: _basis(frobenius_kernel_preimage(I))),
+    "nilradical": ((), _nilradical),
+    "reduced": ((), lambda ring, s: {"result": is_reduced(ring)}),
+    "fclosure": (("elem", "ideal", "int?"), _fclosure),
+    "check2": (
+        ("ideal", "ideal", "int?"),
+        lambda ring, s, I, J, e=1: _outcome(check_intersection_family(ring, [I, J], e)),
+    ),
+    "check3": (
+        ("ideal", "elem", "int?"),
+        lambda ring, s, I, x, e=1: _outcome(check_principal_intersection(ring, I, x, e)),
+    ),
+    "check4": (
+        ("ideal", "elem", "int?"),
+        lambda ring, s, I, x, e=1: _outcome(check_colon(ring, I, x, e)),
+    ),
+    "fedder": ((), lambda ring, s: {"result": fedder_is_fpure(ring)}),
+    "jacobian": ((), lambda ring, s: {"result": jacobian_regularity_oracle(ring)}),
+    "probe": ("flags", _probe),
 }
 
 # probe flag -> (least, greatest) accepted value (None: no bound); the
@@ -93,7 +139,6 @@ class Command:
     line: int
     name: str
     args: list
-    flags: dict
 
 
 @dataclass
@@ -110,86 +155,74 @@ def _split_list(text: str):
     return [part for part in parts if part]
 
 
+def _parse_ring(line: str, lineno: int) -> QuotientRing:
+    m = _RING_RE.match(line)
+    if m is None:
+        raise ParseError(f"malformed ring declaration: {line!r}", lineno)
+    fieldspec = PrimeField(int(m.group(1)))
+    names = tuple(n for n in m.group(2).split(",") if n)
+    if not names:
+        raise ParseError(f"ring declaration names no variables: {line!r}", lineno)
+    if len(set(names)) != len(names):
+        raise ParseError(f"duplicate variable names in {line!r}", lineno)
+    for n in names:
+        if not re.fullmatch(NAME, n):
+            raise ParseError(f"variable name {n!r} is not an identifier", lineno)
+    plain = PolyRing(fieldspec, names)
+    qgens = [parse_polynomial(s, plain) for s in _split_list(m.group(3) or "")]
+    return QuotientRing(fieldspec, names, qgens)
+
+
 def parse_session(text: str) -> SessionSpec:
-    ring = None
-    ideals = {}
-    elems = {}
-    commands = []
+    spec = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head = line.split(None, 1)[0]
-        if head == "ring":
-            if ring is not None:
-                raise ParseError("duplicate ring declaration", lineno)
-            m = _RING_RE.match(line)
-            if m is None:
-                raise ParseError(f"malformed ring declaration: {line!r}", lineno)
-            try:
-                fieldspec = PrimeField(int(m.group(1)))
-            except FFrobError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            names = tuple(n for n in m.group(2).split(",") if n)
-            if not names:
-                raise ParseError(f"ring declaration names no variables: {line!r}", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError(f"duplicate variable names in {line!r}", lineno)
-            for n in names:
-                if not re.fullmatch(NAME, n):
-                    raise ParseError(f"variable name {n!r} is not an identifier", lineno)
-            try:
-                plain = PolyRing(fieldspec, names)
-                qgens = [parse_polynomial(s, plain) for s in _split_list(m.group(3) or "")]
-                ring = QuotientRing(fieldspec, names, qgens)
-            except FFrobError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            continue
-        if ring is None:
-            raise ParseError("the ring must be declared first", lineno)
-        if head == "ideal":
-            m = _IDEAL_RE.match(line)
-            if m is None:
-                raise ParseError(f"malformed ideal declaration: {line!r}", lineno)
-            name = m.group(1)
-            if name in ideals or name in elems:
-                raise ParseError(f"duplicate name {name!r}", lineno)
-            try:
-                gens = [
-                    parse_polynomial(s, ring.ambient) for s in _split_list(m.group(2))
-                ]
-            except FFrobError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            ideals[name] = Ideal(ring, gens)
-            continue
-        if head == "elem":
-            m = _ELEM_RE.match(line)
-            if m is None:
-                raise ParseError(f"malformed element declaration: {line!r}", lineno)
-            name = m.group(1)
-            if name in ideals or name in elems:
-                raise ParseError(f"duplicate name {name!r}", lineno)
-            try:
-                elems[name] = parse_polynomial(m.group(2), ring.ambient)
-            except FFrobError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            continue
-        commands.append(_parse_command(line, lineno, ideals, elems))
-    if ring is None:
+        try:
+            if head == "ring":
+                if spec is not None:
+                    raise ParseError("duplicate ring declaration", lineno)
+                spec = SessionSpec(_parse_ring(line, lineno), {}, {})
+            elif spec is None:
+                raise ParseError("the ring must be declared first", lineno)
+            elif head in _DECLARATIONS:
+                _declare(spec, head, line, lineno)
+            else:
+                spec.commands.append(_parse_command(line, lineno, spec.ideals, spec.elems))
+        except FFrobError as exc:
+            if isinstance(exc, ParseError) and exc.line is not None:
+                raise
+            raise ParseError(str(exc), lineno) from exc
+    if spec is None:
         raise ParseError("session contains no ring declaration")
-    return SessionSpec(ring, ideals, elems, commands)
+    return spec
+
+
+def _declare(spec: SessionSpec, head: str, line: str, lineno: int):
+    pattern, noun = _DECLARATIONS[head]
+    m = pattern.match(line)
+    if m is None:
+        raise ParseError(f"malformed {noun} declaration: {line!r}", lineno)
+    name, body = m.groups()
+    if name in spec.ideals or name in spec.elems:
+        raise ParseError(f"duplicate name {name!r}", lineno)
+    ambient = spec.ring.ambient
+    if head == "ideal":
+        spec.ideals[name] = Ideal(spec.ring, [parse_polynomial(s, ambient) for s in _split_list(body)])
+    else:
+        spec.elems[name] = parse_polynomial(body, ambient)
 
 
 def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
-    parts = line.split()
-    name, rest = parts[0], parts[1:]
+    name, *rest = line.split()
     if name not in _COMMANDS:
         raise ParseError(f"unknown command {name!r}", lineno)
-    shape = _COMMANDS[name]
+    shape = _COMMANDS[name][0]
     if shape == "flags":
         flags = {}
-        i = 0
-        while i < len(rest):
+        for i in range(0, len(rest), 2):
             if rest[i] not in _PROBE_FLAGS:
                 raise ParseError(f"invalid flag {rest[i]!r} for {name}", lineno)
             if i + 1 >= len(rest) or not re.fullmatch(r"-?\d+", rest[i + 1]):
@@ -200,14 +233,11 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
             if greatest is not None and value > greatest:
                 raise ParseError(f"flag {rest[i]} must be at most {greatest}, got {value}", lineno)
             flags[rest[i].lstrip("-").replace("-", "_")] = value
-            i += 2
-        return Command(lineno, name, [], flags)
+        return Command(lineno, name, [flags])
     args = []
     required = sum(1 for s in shape if not s.endswith("?"))
     if not required <= len(rest) <= len(shape):
-        raise ParseError(
-            f"{name} takes {len(shape)} argument(s), got {len(rest)}", lineno
-        )
+        raise ParseError(f"{name} takes {len(shape)} argument(s), got {len(rest)}", lineno)
     for spec, tok in zip(shape, rest):
         kind = spec.rstrip("?")
         if kind == "ideal":
@@ -224,78 +254,15 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
             if kind == "int+" and int(tok) < 1:
                 raise ParseError(f"{name} needs an exponent of at least 1, got {tok}", lineno)
             args.append(int(tok))
-    return Command(lineno, name, args, {})
-
-
-def _ideal_strs(I: Ideal):
-    return [str(g) for g in I.groebner]
+    return Command(lineno, name, args)
 
 
 def run_command(spec: SessionSpec, cmd: Command, overrides: dict) -> dict:
     """Execute one command; returns a JSON-ready report dict with at
     least 'command' and 'result' keys; check reports add the schema of
     the regularity lab."""
-    ring = spec.ring
-    name, args = cmd.name, cmd.args
-    out = {"command": name}
-    settings = {**_DEFAULTS, **overrides}
-    emax = settings["emax"]
-    if name == "gb":
-        out["result"] = _ideal_strs(args[0])
-    elif name == "intersect":
-        out["result"] = _ideal_strs(args[0].intersect(args[1]))
-    elif name == "sum":
-        out["result"] = _ideal_strs(args[0] + args[1])
-    elif name == "colon":
-        out["result"] = _ideal_strs(args[0].colon(args[1]))
-    elif name == "member":
-        out["result"] = args[1].contains(args[0])
-    elif name == "equal":
-        out["result"] = args[0] == args[1]
-    elif name == "bracket":
-        out["result"] = _ideal_strs(bracket_power(args[0], args[1]))
-    elif name == "frobroot":
-        out["result"] = _ideal_strs(frobenius_root(args[0], args[1]))
-    elif name == "fkernel":
-        out["result"] = _ideal_strs(frobenius_kernel_preimage(args[0]))
-    elif name == "nilradical":
-        res = nilradical_char_p(ring)
-        out["result"] = _ideal_strs(res.ideal)
-        out["steps"] = res.steps
-        out["q"] = res.q
-    elif name == "reduced":
-        out["result"] = is_reduced(ring)
-    elif name == "fclosure":
-        x, I = args[0], args[1]
-        bound = closure_search_bound(x, I, args[2] if len(args) > 2 else emax)
-        hit, e = frobenius_closure_test(x, I, bound)
-        out["result"] = hit
-        out["e"] = e
-        out["e_max"] = bound
-    elif name in ("check2", "check3", "check4"):
-        e = args[2] if len(args) > 2 else 1
-        if name == "check2":
-            rep = check_intersection_family(ring, [args[0], args[1]], e)
-        elif name == "check3":
-            rep = check_principal_intersection(ring, args[0], args[1], e)
-        else:
-            rep = check_colon(ring, args[0], args[1], e)
-        out.update(rep.to_dict())
-        out["result"] = rep.outcome
-    elif name == "fedder":
-        out["result"] = fedder_is_fpure(ring)
-    elif name == "jacobian":
-        out["result"] = jacobian_regularity_oracle(ring)
-    elif name == "probe":
-        flags = dict(cmd.flags)
-        e_hi = flags.pop("emax", 1)
-        cfg = SamplerConfig(**{"seed": settings["seed"], "count": settings["count"], **flags})
-        rep = regularity_probe(ring, cfg, e_list=range(1, e_hi + 1))
-        out.update(rep.to_dict())
-        out["result"] = rep.verdict
-    else:  # pragma: no cover - guarded by _COMMANDS
-        raise ValueError(name)
-    return out
+    handler = _COMMANDS[cmd.name][1]
+    return {"command": cmd.name, **handler(spec.ring, {**_DEFAULTS, **overrides}, *cmd.args)}
 
 
 def _has_witness(report: dict) -> bool:

@@ -37,20 +37,44 @@ def _tokenize(text: str):
     return tokens
 
 
+def _refuse_past_limit(bound: int):
+    if bound > POOL_LIMIT:
+        raise ParseError(
+            f"a product could have {bound} terms, more than the {POOL_LIMIT}"
+            " a parsed polynomial may hold"
+        )
+
+
+def _degrees(f: Polynomial):
+    return map(max, zip(*(m for m, _ in f.terms)))
+
+
 def _product(a: Polynomial, b: Polynomial) -> Polynomial:
     """a * b, refused before multiplying if it could have more than
     POOL_LIMIT terms: it has at most |a|·|b|, and at most one per monomial
     whose exponent of each x_i is at most deg_i a + deg_i b."""
     bound = len(a.terms) * len(b.terms)
     if bound > POOL_LIMIT:
-        degrees = [map(max, zip(*(m for m, _ in f.terms))) for f in (a, b)]
-        bound = min(bound, math.prod(d + e + 1 for d, e in zip(*degrees)))
-        if bound > POOL_LIMIT:
-            raise ParseError(
-                f"a product could have {bound} terms, more than the {POOL_LIMIT}"
-                " a parsed polynomial may hold"
-            )
+        degrees = zip(_degrees(a), _degrees(b))
+        _refuse_past_limit(min(bound, math.prod(d + e + 1 for d, e in degrees)))
     return a * b
+
+
+def _power_terms(f: Polynomial, n: int, p: int) -> int:
+    """A bound on the terms of f^n: at most one per monomial whose exponent
+    of each x_i is at most n·deg_i f, and, since f^n is the product over
+    the base-p digits d_j of n of (f^d_j)^[p^j] and a Frobenius power keeps
+    the term count, at most the product of the C(|f| + d_j - 1, d_j)."""
+    by_degree = math.prod(n * d + 1 for d in _degrees(f))
+    k, bound = len(f.terms), 1
+    while n and k > 1:
+        n, d = divmod(n, p)
+        lo, hi = sorted((d, k - 1))
+        for i in range(1, lo + 1):  # bound * C(hi + i, i) only grows with i
+            bound = bound * (hi + i) // i
+            if bound >= by_degree:
+                return by_degree
+    return bound
 
 
 class _Parser:
@@ -107,9 +131,10 @@ class _Parser:
             self.take()
             n = tok[1]
             # f^n holds x_i^(n*e_i) (F_p[x] is a domain): fail before squaring
-            e = max([x for m, _ in base.terms for x in m], default=0)
+            e = max(_degrees(base), default=0)
             if e and n * e >= EXP_LIMIT:
                 raise ExponentOverflowError(f"exponent {n * e} exceeds 2^32")
+            _refuse_past_limit(_power_terms(base, n, self.ring.field.p))
             result = self.ring.one()
             acc = base
             while n:

@@ -1,13 +1,16 @@
+import io
 import json
+import re
 import resource
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from ffrob import ExponentOverflowError, ParseError, PolyRing, PrimeField, parse_polynomial
+from ffrob import ExponentOverflowError, ParseError, PolyRing, PrimeField, cli, parse_polynomial
 from ffrob.cli import parse_session, run_session
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -208,12 +211,12 @@ def test_cli_probe_past_the_sampler_limit_is_an_error(tmp_path, flag):
 
 
 @pytest.mark.parametrize(
-    "expr, bound", [("(x+1)^4294967295", 2097152), ("(x+1)^2047*(y+1)^2047", 4194304)]
+    "expr, bound", [("(x+1)^4294967295", 4294967296), ("(x+1)^2047*(y+1)^2047", 4194304)]
 )
 def test_cli_product_past_the_term_limit_is_an_error(tmp_path, expr, bound):
     # n*e = 2^32 - 1 is within the exponent budget, but (x+1)^(2^32 - 1)
-    # over F_2 has 2^32 terms: square-and-multiply stops at the first
-    # product that could have more than 2^20, as does a product of factors
+    # over F_2 has 2^32 terms: the whole power is bounded before the first
+    # squaring, and a product of factors before it is multiplied
     session = tmp_path / "product.ffor"
     session.write_text(f"ring p=2 vars=x,y\nelem u = {expr}\n")
     out = _run_capped(session)
@@ -361,3 +364,148 @@ def test_cli_json_reparse_round_trip():
         [parse_polynomial(s, ring.ambient) for s in by_cmd["gb"]["result"]]
     )
     assert reparsed == original
+
+
+# `ffor <session>` exit code and text stdout; perfbench/expected/ pins only
+# the --json bytes, and _render_text reads the dicts the handlers build
+CORPUS_TEXT = {
+    "counterexample_p2": (
+        2,
+        "intersect -> [x^3, y^3, x^2*z, y^2*w, x*y]\n"
+        "member -> true\n"
+        "reduced -> false\n"
+        "nilradical -> [x, y] steps=2 q=4\n"
+        "check2 -> FAIL separator=x^2*z side=rhs e=1\n",
+    ),
+    "cusp": (
+        2,
+        "reduced -> true\n"
+        "jacobian -> SINGULAR\n"
+        "fedder -> false\n"
+        "check3 -> FAIL separator=x^3 side=lhs e=1\n"
+        "check4 -> FAIL separator=1 side=rhs e=1\n"
+        "probe -> NOT_REGULAR identity=PRINCIPAL_INTERSECTION separator=x^3\n",
+    ),
+    "dualnumbers": (
+        0,
+        "reduced -> false\n"
+        "jacobian -> SINGULAR\n"
+        + "check2 -> PASS\n" * 6
+        + "fclosure -> true e=1\n",
+    ),
+    "polyring": (
+        0,
+        "gb -> [x^2 + y, x*y, y^2]\n"
+        "intersect -> [x*y, y^2]\n"
+        "colon -> [x^2, y]\n"
+        "bracket -> [x^4 + y^2, x^2*y^2, y^4]\n"
+        "frobroot -> [1]\n"
+        "check2 -> PASS\n"
+        "check3 -> PASS\n"
+        "check4 -> PASS\n"
+        "fedder -> true\n"
+        "jacobian -> REGULAR\n"
+        "probe -> NO_WITNESS_FOUND\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("session", sorted(p.stem for p in SESSIONS.glob("*.ffor")))
+def test_cli_corpus_text_is_pinned(session):
+    code, stdout = CORPUS_TEXT[session]
+    out = _run_cli([str(SESSIONS / f"{session}.ffor")])
+    assert (out.returncode, out.stdout) == (code, stdout)
+
+
+_POLY = "ring p=2 vars=x,y\nideal I = [x^2+y, x*y]\nideal J = [y]\nelem u = x+y\n"
+_CUSP = "ring p=2 vars=x,y quotient=[y^2+x^3]\nideal I = [x]\nelem u = y\n"
+_DUAL = "ring p=2 vars=x quotient=[x^2]\nideal Z = []\nelem u = x\n"
+_CUSP_RING = "F_2[x,y]/(x^3 + y^2)"
+_CUSP_WITNESS = {"I": ["x"], "x": "y", "e": 1, "separator": "x^3", "side": "lhs"}
+
+# command -> (session, its exit code, its one JSON report); optional
+# arguments are left out where a default exists
+EVERY_COMMAND = {
+    "gb": (_POLY + "gb I", 0, {"result": ["x^2 + y", "x*y", "y^2"]}),
+    "intersect": (_POLY + "intersect I J", 0, {"result": ["x*y", "y^2"]}),
+    "colon": (_POLY + "colon I u", 0, {"result": ["x^2", "y"]}),
+    "member": (_POLY + "member u I", 0, {"result": False}),
+    "equal": (_POLY + "equal I J", 0, {"result": False}),
+    "sum": (_POLY + "sum I J", 0, {"result": ["x^2", "y"]}),
+    "bracket": (_POLY + "bracket I 1", 0, {"result": ["x^4 + y^2", "x^2*y^2", "y^4"]}),
+    "frobroot": (_POLY + "frobroot I 1", 0, {"result": ["1"]}),
+    "fkernel": (_POLY + "fkernel I", 0, {"result": ["x^2", "y"]}),
+    "nilradical": (_DUAL + "nilradical", 0, {"result": ["x"], "steps": 1, "q": 2}),
+    "reduced": (_CUSP + "reduced", 0, {"result": True}),
+    "fclosure": (_DUAL + "fclosure u Z", 0, {"result": True, "e": 1, "e_max": 4}),
+    "check2": (
+        _POLY + "check2 I J",
+        0,
+        {"identity": "INTERSECTION_FAMILY", "ring": "F_2[x,y]", "trials": 1, "outcome": "PASS", "result": "PASS"},
+    ),
+    "check3": (
+        _CUSP + "check3 I u",
+        2,
+        {
+            "identity": "PRINCIPAL_INTERSECTION", "ring": _CUSP_RING, "trials": 1,
+            "outcome": "FAIL", "witness": _CUSP_WITNESS, "result": "FAIL",
+        },
+    ),
+    "check4": (
+        _CUSP + "check4 I u 2",
+        2,
+        {
+            "identity": "COLON", "ring": _CUSP_RING, "trials": 1, "outcome": "FAIL",
+            "witness": {"I": ["x"], "x": "y", "e": 2, "separator": "1", "side": "rhs"}, "result": "FAIL",
+        },
+    ),
+    "fedder": (_CUSP + "fedder", 0, {"result": False}),
+    "jacobian": (_CUSP + "jacobian", 0, {"result": "SINGULAR"}),
+    "probe": (
+        _CUSP + "probe --count 3 --seed 2 --emax 1",
+        2,
+        {
+            "identity": "PROBE", "ring": _CUSP_RING, "trials": 0, "structured_checks": 3,
+            "outcome": "NOT_REGULAR", "reduced": True, "note": "",
+            "witness": {
+                "identity": "PRINCIPAL_INTERSECTION", "ring": _CUSP_RING, "trials": 1,
+                "outcome": "FAIL", "witness": _CUSP_WITNESS,
+            },
+            "result": "NOT_REGULAR",
+        },
+    ),
+}
+
+
+def test_every_command_has_a_case():
+    assert set(EVERY_COMMAND) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
+def test_every_command_answers(name):
+    text, code, fields = EVERY_COMMAND[name]
+    reports, got = run_session(parse_session(text + "\n"), {})
+    assert json.loads(json.dumps(reports)) == [{"command": name, **fields}]
+    assert got == code
+
+
+def test_readme_quick_start_and_command_lists():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines()[0] == "FAIL"
+    listed = re.findall(r"`([^`]+)`", readme.split("\nCommands: ", 1)[1].split("\n\n", 1)[0])
+    assert {w for w in listed if not w.startswith("--")} == set(cli._COMMANDS)
+    assert {w for w in listed if w.startswith("--")} == set(cli._PROBE_FLAGS)
+
+
+def test_power_past_the_term_limit_is_refused_before_multiplying():
+    # (x+1)^(2^32 - 1) over F_2 has 2^32 terms; the whole power is bounded
+    # before the first squaring
+    R2 = PolyRing(PrimeField(2), ("x", "y"))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^a product could have 4294967296 terms"):
+        parse_polynomial("(x+1)^4294967295", R2)
+    assert time.perf_counter() - start < 1
