@@ -3,10 +3,13 @@
 For a reduced Noetherian ring of characteristic p, regularity is
 equivalent to each of three ideal identities: bracket powers commute
 with finite intersections, with intersections against a principal ideal,
-and with colons by an element.  `_SIDES` maps each identity to the one
-function that builds its two sides; the checkers and `reverify_witness`
-both read it.  On inequality a checker extracts a separating element that
-lies in exactly one side — a certificate of non-regularity (for reduced rings).
+and with colons by an element.  The Frobenius is a ring map, so one side
+of each identity always contains the other, and the identity holds iff
+the larger side lies in the smaller.  `_SIDES` maps each identity to the
+one function that builds its two sides and to its larger side; the
+checkers and `reverify_witness` both read it.  When the identity fails,
+a checker extracts an element of the larger side that the smaller side
+lacks: a certificate of non-regularity (for reduced rings).
 A colon by x is an intersection with (x) divided by x, so both element
 identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
 `_element_sides` eliminates once for both.
@@ -33,8 +36,8 @@ UNSUPPORTED = "UNSUPPORTED"
 
 @dataclass(frozen=True)
 class Witness:
-    """Violation certificate: the inputs plus an element separating the
-    two sides of the identity (member of exactly one)."""
+    """Violation certificate: the inputs plus an element of the larger
+    side of the identity that the smaller side lacks."""
 
     I: Ideal
     x: Polynomial | None  # element operand; None for family checks
@@ -80,18 +83,6 @@ class CheckReport:
         return d
 
 
-def _separator(lhs: Ideal, rhs: Ideal):
-    """First reduced-basis generator of either side missing from the
-    other; scans descending generator order, lhs first."""
-    for g in lhs.groebner:
-        if not rhs.contains(g):
-            return g, "lhs"
-    for g in rhs.groebner:
-        if not lhs.contains(g):
-            return g, "rhs"
-    raise AssertionError("sides compare unequal but no separator found")
-
-
 def _element_sides(I: Ideal, x: Polynomial, e: int):
     """Both element identities' sides from A = I ∩ (x) and
     B = I^[q] ∩ (x^q), each eliminated once: the principal intersection's
@@ -115,24 +106,28 @@ def _intersection_family_sides(I: Ideal, family, e: int):
     return lhs, rhs
 
 
-# identity -> builder of its two sides from (I, x or the other ideals, e)
+# identity -> (builder of its two sides from (I, x or the other ideals, e),
+# the side that always contains the other)
 _SIDES = {
-    PRINCIPAL_INTERSECTION: lambda I, x, e: _element_sides(I, x, e)[0],
-    COLON: lambda I, x, e: _element_sides(I, x, e)[1],
-    INTERSECTION_FAMILY: _intersection_family_sides,
+    PRINCIPAL_INTERSECTION: (lambda I, x, e: _element_sides(I, x, e)[0], "lhs"),
+    COLON: (lambda I, x, e: _element_sides(I, x, e)[1], "rhs"),
+    INTERSECTION_FAMILY: (_intersection_family_sides, "rhs"),
 }
 
 
 def _judge(identity, ring, sides, I, x, family, e) -> CheckReport:
-    lhs, rhs = sides
-    if lhs == rhs:
+    """PASS iff the larger side lies in the smaller; otherwise the first
+    reduced-basis generator of the larger side that the smaller lacks."""
+    side = _SIDES[identity][1]
+    big, small = sides if side == "lhs" else sides[::-1]
+    if big <= small:
         return CheckReport(identity, ring.describe(), 1, "PASS")
-    sep, side = _separator(lhs, rhs)
+    sep = next(g for g in big.groebner if not small.contains(g))
     return CheckReport(identity, ring.describe(), 1, "FAIL", Witness(I, x, family, e, sep, side))
 
 
 def _check(identity, ring, I, x, family, e) -> CheckReport:
-    sides = _SIDES[identity](I, x if family is None else family, e)
+    sides = _SIDES[identity][0](I, x if family is None else family, e)
     return _judge(identity, ring, sides, I, x, family, e)
 
 
@@ -168,15 +163,15 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
     w = report.witness
     if w is None:
         return False
-    sides = _SIDES.get(report.identity)
-    if sides is None:
+    entry = _SIDES.get(report.identity)
+    if entry is None:
         raise ValueError(f"unknown identity {report.identity}")
     gens = list(reversed(w.I.gens))
     if len(gens) >= 2:
         gens.append(gens[0] + gens[1])
     elif gens:
         gens.append(gens[0] + gens[0])  # 2g, redundant in any characteristic
-    lhs, rhs = sides(Ideal(ring, gens), w.x if w.family is None else w.family, w.e)
+    lhs, rhs = entry[0](Ideal(ring, gens), w.x if w.family is None else w.family, w.e)
     return lhs.contains(w.separator) != rhs.contains(w.separator)
 
 
@@ -188,7 +183,7 @@ def fedder_is_fpure(ring: QuotientRing) -> bool:
     Q = ring.defining_ideal()
     colon = bracket_power(Q, 1).colon_ideal(Q)
     m_p = Q.ring.ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
-    return any(not m_p.contains(g) for g in colon.groebner)
+    return not colon <= m_p
 
 
 def jacobian_regularity_oracle(ring: QuotientRing) -> str:

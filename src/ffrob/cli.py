@@ -48,7 +48,7 @@ from .frobenius import (
 )
 from .field import PrimeField
 from .ideals import Ideal, QuotientRing
-from .parser import NAME, parse_polynomial
+from .parser import NAME, parse_polynomial, read_int
 from .poly import PolyRing
 
 _RING_RE = re.compile(r"^ring\s+p=(\d+)\s+vars=([A-Za-z_0-9,]+)(?:\s+quotient=\[(.*)\])?\s*$")
@@ -159,7 +159,7 @@ def _parse_ring(line: str, lineno: int) -> QuotientRing:
     m = _RING_RE.match(line)
     if m is None:
         raise ParseError(f"malformed ring declaration: {line!r}", lineno)
-    fieldspec = PrimeField(int(m.group(1)))
+    fieldspec = PrimeField(read_int(m.group(1)))
     names = tuple(n for n in m.group(2).split(",") if n)
     if not names:
         raise ParseError(f"ring declaration names no variables: {line!r}", lineno)
@@ -227,7 +227,7 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
                 raise ParseError(f"invalid flag {rest[i]!r} for {name}", lineno)
             if i + 1 >= len(rest) or not re.fullmatch(r"-?\d+", rest[i + 1]):
                 raise ParseError(f"flag {rest[i]} needs an integer value", lineno)
-            value, (least, greatest) = int(rest[i + 1]), _PROBE_FLAGS[rest[i]]
+            value, (least, greatest) = read_int(rest[i + 1]), _PROBE_FLAGS[rest[i]]
             if least is not None and value < least:
                 raise ParseError(f"flag {rest[i]} must be at least {least}, got {value}", lineno)
             if greatest is not None and value > greatest:
@@ -251,9 +251,10 @@ def _parse_command(line: str, lineno: int, ideals, elems) -> Command:
         else:
             if not re.fullmatch(r"\d+", tok):
                 raise ParseError(f"expected a nonnegative integer, got {tok!r}", lineno)
-            if kind == "int+" and int(tok) < 1:
+            value = read_int(tok)
+            if kind == "int+" and value < 1:
                 raise ParseError(f"{name} needs an exponent of at least 1, got {tok}", lineno)
-            args.append(int(tok))
+            args.append(value)
     return Command(lineno, name, args)
 
 

@@ -93,7 +93,7 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
     steps = 0
     while True:
         K = frobenius_kernel_preimage(J)
-        if K == J:
+        if K <= J:
             break
         J = K
         steps += 1
@@ -102,9 +102,9 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
 
 
 def is_reduced(ring: QuotientRing) -> bool:
-    """True iff R has no nonzero nilpotents (Frobenius is injective)."""
+    """True iff R has no nonzero nilpotents, i.e. φ^-1(Q) ⊆ Q (Q ⊆ φ^-1(Q) always)."""
     J = ring.defining_ideal()
-    return frobenius_kernel_preimage(J) == J
+    return frobenius_kernel_preimage(J) <= J
 
 
 def closure_search_bound(x: Polynomial, I: Ideal, e_max: int) -> int:

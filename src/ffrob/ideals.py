@@ -3,11 +3,12 @@
 An ideal of R = S/Q is always handled through its lift: the ideal of the
 ambient polynomial ring S generated by the chosen generators together
 with Q.  Intersections of lifts correspond exactly to intersections
-downstairs, so all the work happens in S via Groebner bases; the reduced
-basis of the lift is the canonical form used for equality, cached per
-`Ideal` and not needed for two that present the same generators.  An
-intersection joins Q to one side only, and a colon is an intersection
-followed by exact division (Cox, Little & O'Shea, section 4.4).
+downstairs, so all the work happens in S via Groebner bases.  I ⊆ J
+needs only J's reduced basis, cached per `Ideal`: every generator of I
+must reduce to zero by it, and Q lies in both lifts.  Equality compares
+the two reduced bases.  An intersection joins Q to one side only, and a
+colon is an intersection followed by exact division (Cox, Little &
+O'Shea, section 4.4).
 """
 
 from __future__ import annotations
@@ -162,13 +163,15 @@ class Ideal:
             result = piece if result is None else result.intersect(piece)
         return result
 
+    def __le__(self, other: "Ideal") -> bool:
+        """I ⊆ J; one presentation is one ideal, so equal generators need no basis."""
+        self._check_ring(other)
+        return self.gens == other.gens or all(map(other.contains, self.gens))
+
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
-        if self.ring != other.ring:
-            return False
-        # one presentation is one ideal, so equal generators need no basis
-        return self.gens == other.gens or self.groebner == other.groebner
+        return self.ring == other.ring and self.groebner == other.groebner
 
     def __hash__(self):
         return hash((self.ring, tuple(self.groebner)))

@@ -28,13 +28,38 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            tokens.append(("int", m.group(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:
             tokens.append(("op", m.group(3)))
         pos = m.end()
     return tokens
+
+
+# the most digits an integer literal other than a coefficient may have:
+# inside the 4,300 digits that int() and str() convert by default, so that
+# its product with an exponent below 2^32 still prints
+MAX_DIGITS = 4000
+
+
+def read_int(token: str) -> int:
+    """int(token) for a decimal literal, optionally signed, of at most
+    MAX_DIGITS digits."""
+    digits = len(token.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise ParseError(f"an integer may have at most {MAX_DIGITS} digits, got {digits}")
+    return int(token)
+
+
+def _residue(digits: str, p: int) -> int:
+    """A run of decimal digits mod p, by Horner's rule on chunks that
+    int() reads."""
+    r = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        r = (r * pow(10, len(chunk), p) + int(chunk)) % p
+    return r
 
 
 def _refuse_past_limit(bound: int):
@@ -75,6 +100,18 @@ def _power_terms(f: Polynomial, n: int, p: int) -> int:
             if bound >= by_degree:
                 return by_degree
     return bound
+
+
+def _small_power(f: Polynomial, d: int) -> Polynomial:
+    """f^d by square-and-multiply, for a base-p digit d."""
+    result, acc = f.ring.one(), f
+    while d:
+        if d & 1:
+            result = _product(result, acc)
+        d >>= 1
+        if d:
+            acc = _product(acc, acc)
+    return result
 
 
 class _Parser:
@@ -126,30 +163,30 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             tok = self.peek()
-            if tok is None or tok[0] != "int" or tok[1] <= 0:
+            if tok is None or tok[0] != "int" or not tok[1].strip("0"):
                 raise ParseError("'^' needs a positive integer exponent")
             self.take()
-            n = tok[1]
-            # f^n holds x_i^(n*e_i) (F_p[x] is a domain): fail before squaring
+            n = read_int(tok[1])
+            # f^n holds x_i^(n*e_i) (F_p[x] is a domain): fail before multiplying
             e = max(_degrees(base), default=0)
             if e and n * e >= EXP_LIMIT:
                 raise ExponentOverflowError(f"exponent {n * e} exceeds 2^32")
-            _refuse_past_limit(_power_terms(base, n, self.ring.field.p))
-            result = self.ring.one()
-            acc = base
+            p = self.ring.field.p
+            _refuse_past_limit(_power_terms(base, n, p))
+            # f^n is the product of (f^d_j)^[p^j] over the base-p digits d_j of n
+            result, j = self.ring.one(), 0
             while n:
-                if n & 1:
-                    result = _product(result, acc)
-                n >>= 1
-                if n:
-                    acc = _product(acc, acc)
+                n, d = divmod(n, p)
+                if d:
+                    result = _product(result, _small_power(base, d).frobenius_power(j))
+                j += 1
             return result
         return base
 
     def atom(self) -> Polynomial:
         kind, value = self.take()
         if kind == "int":
-            return self.ring.constant(value)
+            return self.ring.constant(_residue(value, self.ring.field.p))
         if kind == "name":
             if value not in self.index:
                 raise ParseError(f"unknown variable {value!r}")

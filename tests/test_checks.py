@@ -8,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ffrob import (
+    FFrobError,
+    Ideal,
+    PolyRing,
     PrimeField,
     QuotientRing,
     SamplerConfig,
@@ -20,6 +23,7 @@ from ffrob import (
     check_intersection_family,
     check_principal_intersection,
     fedder_is_fpure,
+    frobenius_kernel_preimage,
     is_frobenius_closed,
     is_reduced,
     jacobian_regularity_oracle,
@@ -39,6 +43,7 @@ from ffrob.checks import (
     SINGULAR,
     UNSUPPORTED,
     ProbeReport,
+    _SIDES,
     _structured_inputs,
 )
 from ffrob.poly import monomial_pool
@@ -179,6 +184,50 @@ def test_scaling_invariance():
         == check_principal_intersection(R, I_scaled, x, 1).outcome
     )
     assert check_colon(R, I, x, 1).outcome == check_colon(R, I_scaled, x, 1).outcome
+
+
+@st.composite
+def theorem_case(draw):
+    """A quotient of F_p[up to three variables] by one or two random
+    generators (p in {2, 3}, never the unit ideal), two ideals of it and an
+    element."""
+    p = draw(st.sampled_from((2, 3)))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    S = PolyRing(PrimeField(p), names)
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    poly = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=2).map(S.poly)
+    gens = st.lists(poly, min_size=1, max_size=2)
+    try:
+        R = QuotientRing(S.field, names, draw(gens))
+    except FFrobError:
+        assume(False)  # the unit ideal: the ring is trivial
+    return R, R.ideal(draw(gens)), R.ideal(draw(gens)), draw(poly)
+
+
+def corpus_case(qtexts, names):
+    """A corpus ring with I = (x), J = (y) and the element y."""
+    R = make_ring(2, names, qtexts)
+    return R, R.ideal([P(R, "x")]), R.ideal([P(R, "y")]), P(R, "y")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(theorem_case())
+@example(corpus_case(("y^2+x^3",), ("x", "y")))  # both element identities fail
+@example(corpus_case(("x^3", "x^2*z + y^2*w", "x*y", "y^3"), ("x", "y", "z", "w")))  # the family fails
+def test_the_larger_side_contains_the_smaller(case):
+    # the Frobenius is a ring map, so for every ring each identity's side
+    # that `_SIDES` names as larger contains the other, and J ⊆ φ^-1(J);
+    # decided here generator by generator, not by `<=`
+    R, I, J, x = case
+    for identity, operand in ((PRINCIPAL_INTERSECTION, x), (COLON, x), (INTERSECTION_FAMILY, (J,))):
+        build, larger = _SIDES[identity]
+        lhs, rhs = build(I, operand, 1)
+        big, small = (lhs, rhs) if larger == "lhs" else (rhs, lhs)
+        assert all(big.contains(g) for g in small.gens), identity
+    Q = R.defining_ideal()
+    for K in (Q, Ideal(Q.ring, I.gens + Q.gens)):
+        preimage = frobenius_kernel_preimage(K)
+        assert all(preimage.contains(g) for g in K.gens)
 
 
 def test_fedder_examples(cusp):

@@ -9,6 +9,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffrob import ExponentOverflowError, ParseError, PolyRing, PrimeField, cli, parse_polynomial
 from ffrob.cli import parse_session, run_session
@@ -509,3 +511,65 @@ def test_power_past_the_term_limit_is_refused_before_multiplying():
     with pytest.raises(ParseError, match="^a product could have 4294967296 terms"):
         parse_polynomial("(x+1)^4294967295", R2)
     assert time.perf_counter() - start < 1
+
+
+LONG = "1" * 5000  # past the 4,300 digits that int() reads
+
+
+def test_cli_long_coefficient_is_read_mod_p(tmp_path, capsys):
+    # a coefficient is needed only mod p; 111111 = 7 * 15873
+    assert parse_polynomial(LONG + "*x", PolyRing(PrimeField(7), ("x",))).terms == (((1,), 4),)
+    session = tmp_path / "long.ffor"
+    session.write_text(f"ring p=2 vars=x\nelem u = {LONG}\nideal I = [x + {LONG}]\nideal Z = []\ngb I\nmember u Z\n")
+    assert cli.main([str(session)]) == 0
+    assert capsys.readouterr().out == "gb -> [x + 1]\nmember -> false\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("ring p=2 vars=x\nideal I = [x]\nbracket I {n}\n", 3),
+        ("ring p=2 vars=x\nelem u = x^{n}\n", 2),
+        ("ring p=2147483647 vars=x\nelem u = 3^{n}\n", 2),
+        ("ring p={n} vars=x\n", 1),
+        ("ring p=2 vars=x\nprobe --count 1 --seed -{n}\n", 2),
+    ],
+)
+def test_cli_long_integer_past_its_bound_is_an_error(tmp_path, capsys, text, line):
+    # an exponent, a command's integer, p or a flag value is read exactly,
+    # and one of more than 4,000 digits is refused before int() sees it
+    session = tmp_path / "long.ffor"
+    session.write_text(text.format(n=LONG))
+    assert cli.main([str(session)]) == 1
+    assert capsys.readouterr().err == f"ffor: error: line {line}: an integer may have at most 4000 digits, got 5000\n"
+    session.write_text(text.format(n="9" * 4000))
+    cli.main([str(session)])  # read; then answered, or refused by its own bound
+    assert "digits" not in capsys.readouterr().err
+
+
+def test_power_by_base_p_digits_is_fast(tmp_path, capsys):
+    # (x+1)^(3^20) over F_3 is x^(3^20) + 1, one Frobenius power of x + 1;
+    # square-and-multiply on the whole exponent builds (x+1)^(2^k) on the
+    # way, which is far larger
+    session = tmp_path / "power.ffor"
+    session.write_text("ring p=3 vars=x\nelem u = (x+1)^3486784401\nideal J = [(x+1)^3486784401]\ngb J\n")
+    start = time.perf_counter()
+    assert cli.main([str(session)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "gb -> [x^3486784401 + 1]\n"
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3),
+    st.integers(1, 30),
+)
+def test_power_by_base_p_digits_matches_repeated_products(p, monomials, n):
+    # f^n as the product of (f^d_j)^[p^j] over the base-p digits d_j of n
+    ring = PolyRing(PrimeField(p), ("x", "y"))
+    f = ring.poly({m: 1 for m in monomials})
+    expected = ring.one()
+    for _ in range(n):
+        expected = expected * f
+    assert parse_polynomial(f"({f})^{n}", ring) == expected

@@ -14,6 +14,7 @@ from ffrob import (
     PrimeField,
     QuotientRing,
     SamplerConfig,
+    bracket_power,
     buchberger,
     elimination_ideal,
     fedder_is_fpure,
@@ -519,10 +520,11 @@ def test_twelve_variables_at_the_exponent_budget():
 
 # --- a pinned run of the frobenius-highp kernel ---------------------------
 
-# sha256 of the reduced bases of every Buchberger run made by
-# is_reduced and fedder_is_fpure on F_5[x,y,z,w]/(xy - zw, x^2 - yw), in
-# call order, each as (order, number of variables, term tuples); recorded
-# with the exponent-tuple kernel that the packed one replaced
+# sha256 of the reduced bases of every Buchberger run that is_reduced and
+# fedder_is_fpure made on F_5[x,y,z,w]/(xy - zw, x^2 - yw) while they
+# compared both sides' bases, in call order, each as (order, number of
+# variables, term tuples); recorded with the exponent-tuple kernel that the
+# packed one replaced
 HIGHP_BASES_SHA256 = "1047b76ab10ba4f2d576c61cc7d2b7f5568d390be6c8b5f01e3b4c8cdf70b71d"
 
 
@@ -541,7 +543,20 @@ def test_highp_bases_match_the_recorded_digest(monkeypatch):
         return basis
 
     monkeypatch.setattr(groebner, "_buchberger_core", recording_core)
-    assert is_reduced(R) is True
-    assert fedder_is_fpure(R) is False
+    # the seven recorded inputs: the kernel preimage and its basis, the
+    # Fedder colon and its basis, then m^[p]'s basis for the containment
+    K = frobenius_kernel_preimage(R.defining_ideal())
+    K.groebner
+    Q = R.defining_ideal()
+    colon = bracket_power(Q, 1).colon_ideal(Q)
+    colon.groebner
+    m_p = Q.ring.ideal([v.frobenius_power(1) for v in S.variables()])
+    assert colon <= m_p  # so R is not F-pure at the origin
     assert (len(bases), max(len(b[2]) for b in bases)) == (7, 28)
     assert hashlib.sha256(repr(bases).encode()).hexdigest() == HIGHP_BASES_SHA256
+    # deciding by containment skips the two bases of the larger sides
+    recorded = bases[:]
+    bases.clear()
+    assert is_reduced(R) is True
+    assert fedder_is_fpure(R) is False
+    assert bases == [recorded[i] for i in (0, 2, 3, 4, 6)]

@@ -207,3 +207,29 @@ def test_one_sided_quotient_matches_two_sided_formulas(case):
     assert I.intersect(J) == two_sided
     meet = poly_ideal_intersect(S, list(I.gens) + q, [x])
     assert I.colon(x) == Ideal(R, [poly_divexact(g, x) for g in meet])
+
+
+def test_containment_across_rings_is_refused(cusp):
+    plain = ring2()
+    with pytest.raises(RingMismatchError):
+        plain.ideal([P(plain, "x")]) <= cusp.ideal([P(cusp, "x")])
+
+
+def test_containment_examples(cusp):
+    I = cusp.ideal([P(cusp, "x^2"), P(cusp, "x*y")])
+    assert I <= cusp.ideal([P(cusp, "x")])
+    assert not cusp.ideal([P(cusp, "x")]) <= I
+    # y^2 = x^3 in the cusp, so (y^2) lies in (x)
+    assert cusp.ideal([P(cusp, "y^2")]) <= cusp.ideal([P(cusp, "x")])
+    assert cusp.ideal([]) <= I <= cusp.unit_ideal()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(quotient_case())
+def test_containment_both_ways_is_equality(case):
+    R, I, J, x = case
+    assert (I <= J and J <= I) == (I == J)
+    assert I <= I + J and J <= I + J
+    assert (I + J <= I) == (J <= I)
+    again = Ideal(R, list(reversed(I.gens)) + [x * g for g in I.gens])
+    assert again <= I and I <= again and again == I
