@@ -194,7 +194,7 @@ def jacobian_regularity_oracle(ring: QuotientRing) -> str:
     hypersurfaces; anything else is UNSUPPORTED."""
     if ring.is_polynomial_ring:
         return REGULAR
-    gb = ring.quotient_basis
+    gb = ring.defining_ideal().groebner
     if len(gb) != 1:
         return UNSUPPORTED
     f = gb[0]

@@ -306,18 +306,23 @@ def main(argv=None) -> int:
     )
     ap.add_argument("session", help="path to a session file")
     ap.add_argument("--json", action="store_true", help="emit a JSON report array")
-    ap.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="default probe seed")
-    ap.add_argument("--count", type=int, default=_DEFAULTS["count"], help="default probe trial count")
-    ap.add_argument("--emax", type=int, default=_DEFAULTS["emax"], help="default Frobenius closure bound")
+    # read as text, so that a malformed or overlong value exits 1, not 2
+    ap.add_argument("--seed", default=str(_DEFAULTS["seed"]), help="default probe seed")
+    ap.add_argument("--count", default=str(_DEFAULTS["count"]), help="default probe trial count")
+    ap.add_argument("--emax", default=str(_DEFAULTS["emax"]), help="default Frobenius closure bound")
     ns = ap.parse_args(argv)
     try:
         with open(ns.session, encoding="utf-8") as fh:
             text = fh.read()
-        for flag, value in (("--count", ns.count), ("--emax", ns.emax)):
-            if value < 0:
-                raise ParseError(f"{flag} must be at least 0, got {value}")
+        overrides = {}
+        for name in _DEFAULTS:
+            token = getattr(ns, name)
+            if not re.fullmatch(r"-?\d+", token):
+                raise ParseError(f"--{name} needs an integer value, got {token!r}")
+            overrides[name] = value = read_int(token)
+            if name != "seed" and value < 0:
+                raise ParseError(f"--{name} must be at least 0, got {value}")
         spec = parse_session(text)
-        overrides = {"seed": ns.seed, "count": ns.count, "emax": ns.emax}
         reports, code = run_session(spec, overrides)
     except (OSError, FFrobError) as exc:
         print(f"ffor: error: {exc}", file=sys.stderr)

@@ -1,5 +1,7 @@
 """Ideal arithmetic in polynomial rings and their quotients.
 
+A quotient ring holds Q as an `Ideal` of its one cover, built with the
+ring, so Q's reduced basis is computed once.
 An ideal of R = S/Q is always handled through its lift: the ideal of the
 ambient polynomial ring S generated by the chosen generators together
 with Q.  Intersections of lifts correspond exactly to intersections
@@ -20,21 +22,15 @@ from .poly import Polynomial, PolyRing
 
 
 class QuotientRing:
-    """F_p[vars]/Q; Q empty means the polynomial ring itself."""
+    """F_p[vars]/Q, holding Q as an `Ideal` of its one cover F_p[vars];
+    Q = 0 makes the ring a polynomial ring, its own cover."""
 
     def __init__(self, field: PrimeField, names, quotient_gens=()):
         self.ambient = PolyRing(field, names)
-        gens = []
-        for g in quotient_gens:
-            if g.ring != self.ambient:
-                raise RingMismatchError(
-                    f"quotient generator {g!r} does not live in {self.ambient!r}"
-                )
-            if not g.is_zero:
-                gens.append(g)
-        self.quotient_gens = tuple(gens)
-        self._qgb = buchberger(self.quotient_gens)
-        if self._qgb and self._qgb[0].total_degree() == 0:
+        gens = Ideal(self, quotient_gens).gens
+        self._cover = QuotientRing(field, names) if gens else self
+        self.Q = Ideal(self._cover, gens)
+        if self.Q.is_unit:
             raise FFrobError("quotient ideal is the unit ideal; the ring is trivial")
 
     @property
@@ -46,26 +42,23 @@ class QuotientRing:
         return self.ambient.names
 
     @property
-    def is_polynomial_ring(self) -> bool:
-        return not self.quotient_gens
+    def quotient_gens(self):
+        return self.Q.gens
 
     @property
-    def quotient_basis(self):
-        """Reduced Groebner basis of Q in the ambient ring."""
-        return self._qgb
+    def is_polynomial_ring(self) -> bool:
+        return self.cover() is self
 
     def cover(self) -> "QuotientRing":
         """F_p[vars]: the ring this one is a quotient of."""
-        return QuotientRing(self.field, self.names)
+        return self._cover
 
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)
 
     def defining_ideal(self) -> "Ideal":
-        """Q as an ideal of the cover, holding the basis this ring computed."""
-        Q = Ideal(self.cover(), self.quotient_gens)
-        Q._gb = list(self._qgb)
-        return Q
+        """Q as an ideal of the cover."""
+        return self.Q
 
     def unit_ideal(self) -> "Ideal":
         return Ideal(self, [self.ambient.one()])
@@ -76,15 +69,17 @@ class QuotientRing:
             return base
         return base + "/(" + ", ".join(str(g) for g in self.quotient_gens) + ")"
 
+    # Q's bases, not Q itself: a polynomial ring is Q's ring, and
+    # Ideal.__eq__ compares rings
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, QuotientRing)
             and self.ambient == other.ambient
-            and self._qgb == other._qgb
+            and self.Q.groebner == other.Q.groebner
         )
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self._qgb)))
+        return hash((self.ambient, tuple(self.Q.groebner)))
 
     def __repr__(self):
         return self.describe()

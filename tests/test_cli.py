@@ -547,6 +547,20 @@ def test_cli_long_integer_past_its_bound_is_an_error(tmp_path, capsys, text, lin
     assert "digits" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--count", "abc", "--count needs an integer value, got 'abc'"),
+        ("--emax", "x", "--emax needs an integer value, got 'x'"),
+        ("--seed", LONG, "an integer may have at most 4000 digits, got 5000"),
+    ],
+)
+def test_cli_malformed_default_is_an_error(capsys, flag, value, message):
+    # exit code 2 means a witness was found; a bad option value is an error
+    assert cli.main([str(SESSIONS / "polyring.ffor"), flag, value]) == 1
+    assert capsys.readouterr().err == f"ffor: error: {message}\n"
+
+
 def test_power_by_base_p_digits_is_fast(tmp_path, capsys):
     # (x+1)^(3^20) over F_3 is x^(3^20) + 1, one Frobenius power of x + 1;
     # square-and-multiply on the whole exponent builds (x+1)^(2^k) on the

@@ -10,9 +10,14 @@ from ffrob import (
     PrimeField,
     QuotientRing,
     RingMismatchError,
+    fedder_is_fpure,
+    is_reduced,
+    jacobian_regularity_oracle,
+    nilradical_char_p,
     parse_polynomial,
     poly_ideal_intersect,
 )
+from ffrob import groebner
 from ffrob.groebner import poly_divexact
 
 from oracles import CuspSemigroup
@@ -233,3 +238,34 @@ def test_containment_both_ways_is_equality(case):
     assert (I + J <= I) == (J <= I)
     again = Ideal(R, list(reversed(I.gens)) + [x * g for g in I.gens])
     assert again <= I and I <= again and again == I
+
+
+def test_a_quotient_ring_has_one_cover_and_one_q(cusp, monkeypatch):
+    assert cusp.cover() is cusp.cover()
+    assert cusp.cover().cover() is cusp.cover()
+    assert cusp.defining_ideal() is cusp.defining_ideal()
+    plain = ring2()
+    assert plain.cover() is plain and plain.is_polynomial_ring
+    # two polynomial rings built apart are equal, without recursing
+    # through Q, whose ring each one is
+    assert plain == ring2() and hash(plain) == hash(ring2())
+    F3 = PrimeField(3)
+    S = PolyRing(F3, ("x", "y"))
+    f, twice = parse_polynomial("y^2 - x^3", S), parse_polynomial("2*y^2 - 2*x^3", S)
+    R, R2 = QuotientRing(F3, ("x", "y"), [f]), QuotientRing(F3, ("x", "y"), [twice])
+    assert R == R2 and hash(R) == hash(R2)
+    # Q's basis is computed once, when the ring is built, and every
+    # question about Q reads it
+    inputs = []
+    core = groebner._buchberger_core
+
+    def recording_core(works, field, pk):
+        inputs.append([dict(w) for w in works])
+        return core(works, field, pk)
+
+    monkeypatch.setattr(groebner, "_buchberger_core", recording_core)
+    R = QuotientRing(F3, ("x", "y"), [f])
+    answers = is_reduced(R), fedder_is_fpure(R), nilradical_char_p(R).steps, jacobian_regularity_oracle(R)
+    assert answers == (True, False, 0, "SINGULAR")
+    pk = R.ambient.packing
+    assert inputs.count([dict(pk.terms(f.terms))]) == 1

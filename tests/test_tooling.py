@@ -48,3 +48,26 @@ def test_every_private_definition_is_referenced():
     ]
     assert private
     assert [node.name for node in private if used[node.name] == _names(node)[node.name]] == []
+
+
+def test_only_ideal_assigns_its_basis_cache():
+    # one canonical-form cache: `_gb` is written only by Ideal's own methods
+    writes = []  # (where, whether inside class Ideal)
+    for path in sorted(_PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(n)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == "Ideal"
+            for n in ast.walk(c)
+        }
+        writes += [
+            (f"{path.name}:{t.lineno}", id(t) in inside)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for t in ast.walk(target)
+            if isinstance(t, ast.Attribute) and t.attr == "_gb"
+        ]
+    assert any(ours for _, ours in writes)
+    assert [where for where, ours in writes if not ours] == []
