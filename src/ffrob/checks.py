@@ -5,11 +5,13 @@ equivalent to each of three ideal identities: bracket powers commute
 with finite intersections, with intersections against a principal ideal,
 and with colons by an element.  The Frobenius is a ring map, so one side
 of each identity always contains the other, and the identity holds iff
-the larger side lies in the smaller.  `_SIDES` maps each identity to the
-one function that builds its two sides and to its larger side; the
-checkers and `reverify_witness` both read it.  When the identity fails,
-a checker extracts an element of the larger side that the smaller side
-lacks: a certificate of non-regularity (for reduced rings).
+the larger side lies in the smaller.  A check takes (I, operand, e), the
+operand being the element x or the family's other ideals, and runs in the
+ring of its ideal I.  `_SIDES` maps each identity to the one function
+that builds its two sides and to its larger side; the checkers and
+`reverify_witness` both read it.  When the identity fails, a checker
+extracts an element of the larger side that the smaller side lacks: a
+certificate of non-regularity (for reduced rings).
 A colon by x is an intersection with (x) divided by x, so both element
 identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
 `_element_sides` eliminates once for both.
@@ -40,22 +42,22 @@ class Witness:
     side of the identity that the smaller side lacks."""
 
     I: Ideal
-    x: Polynomial | None  # element operand; None for family checks
-    family: tuple | None  # the other ideals for family checks
+    operand: Polynomial | tuple  # the element x, or the family's other ideals
     e: int
     separator: Polynomial
     side: str  # "lhs" or "rhs": where the separator lives
 
     def to_dict(self):
+        family = isinstance(self.operand, tuple)
         d = {
             "I": [str(g) for g in self.I.gens],
-            "x": None if self.x is None else str(self.x),
+            "x": None if family else str(self.operand),
             "e": self.e,
             "separator": str(self.separator),
             "side": self.side,
         }
-        if self.family is not None:
-            d["family"] = [[str(g) for g in J.gens] for J in self.family]
+        if family:
+            d["family"] = [[str(g) for g in J.gens] for J in self.operand]
         return d
 
 
@@ -106,7 +108,7 @@ def _intersection_family_sides(I: Ideal, family, e: int):
     return lhs, rhs
 
 
-# identity -> (builder of its two sides from (I, x or the other ideals, e),
+# identity -> (builder of its two sides from (I, operand, e),
 # the side that always contains the other)
 _SIDES = {
     PRINCIPAL_INTERSECTION: (lambda I, x, e: _element_sides(I, x, e)[0], "lhs"),
@@ -115,45 +117,44 @@ _SIDES = {
 }
 
 
-def _judge(identity, ring, sides, I, x, family, e) -> CheckReport:
+def _judge(identity, sides, I, operand, e) -> CheckReport:
     """PASS iff the larger side lies in the smaller; otherwise the first
     reduced-basis generator of the larger side that the smaller lacks."""
     side = _SIDES[identity][1]
     big, small = sides if side == "lhs" else sides[::-1]
     if big <= small:
-        return CheckReport(identity, ring.describe(), 1, "PASS")
+        return CheckReport(identity, I.ring.describe(), 1, "PASS")
     sep = next(g for g in big.groebner if not small.contains(g))
-    return CheckReport(identity, ring.describe(), 1, "FAIL", Witness(I, x, family, e, sep, side))
+    return CheckReport(identity, I.ring.describe(), 1, "FAIL", Witness(I, operand, e, sep, side))
 
 
-def _check(identity, ring, I, x, family, e) -> CheckReport:
-    sides = _SIDES[identity][0](I, x if family is None else family, e)
-    return _judge(identity, ring, sides, I, x, family, e)
+def _check(identity, I, operand, e) -> CheckReport:
+    return _judge(identity, _SIDES[identity][0](I, operand, e), I, operand, e)
 
 
-def _element_checks(ring, I, x, e):
+def _element_checks(I, x, e):
     """Principal-intersection, then colon report on one (I, x, e)."""
     principal, colon = _element_sides(I, x, e)
-    yield _judge(PRINCIPAL_INTERSECTION, ring, principal, I, x, None, e)
-    yield _judge(COLON, ring, colon, I, x, None, e)
+    yield _judge(PRINCIPAL_INTERSECTION, principal, I, x, e)
+    yield _judge(COLON, colon, I, x, e)
 
 
-def check_principal_intersection(ring: QuotientRing, I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
+def check_principal_intersection(I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
     """Does I^[q] ∩ (x^q) equal (I ∩ (x))^[q]?  (q = p^e)"""
-    return _check(PRINCIPAL_INTERSECTION, ring, I, x, None, e)
+    return _check(PRINCIPAL_INTERSECTION, I, x, e)
 
 
-def check_colon(ring: QuotientRing, I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
+def check_colon(I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
     """Does (I : x)^[q] equal (I^[q] : x^q)?  (q = p^e)"""
-    return _check(COLON, ring, I, x, None, e)
+    return _check(COLON, I, x, e)
 
 
-def check_intersection_family(ring: QuotientRing, ideals, e: int = 1) -> CheckReport:
+def check_intersection_family(ideals, e: int = 1) -> CheckReport:
     """Does (∩ᵢ Iᵢ)^[q] equal ∩ᵢ Iᵢ^[q], folding left to right?"""
     ideals = list(ideals)
     if len(ideals) < 2:
         raise ValueError("family checks need at least two ideals")
-    return _check(INTERSECTION_FAMILY, ring, ideals[0], None, tuple(ideals[1:]), e)
+    return _check(INTERSECTION_FAMILY, ideals[0], tuple(ideals[1:]), e)
 
 
 def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
@@ -171,7 +172,7 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
         gens.append(gens[0] + gens[1])
     elif gens:
         gens.append(gens[0] + gens[0])  # 2g, redundant in any characteristic
-    lhs, rhs = entry[0](Ideal(ring, gens), w.x if w.family is None else w.family, w.e)
+    lhs, rhs = entry[0](Ideal(ring, gens), w.operand, w.e)
     return lhs.contains(w.separator) != rhs.contains(w.separator)
 
 
@@ -276,6 +277,25 @@ def _structured_inputs(ring: QuotientRing):
     return ideals, elems
 
 
+def _probe_checks(ring: QuotientRing, config: SamplerConfig, e_list):
+    """The probe's reports in order, each with the random trials begun
+    before it: the structured element checks, then the structured
+    families, for each e; then each position's sampled (I, x) at every e."""
+    ideals, elems = _structured_inputs(ring)
+    for e in e_list:
+        for I, x in itertools.product(ideals, elems):
+            for rep in _element_checks(I, x, e):
+                yield 0, rep
+        for pair in itertools.combinations(ideals, 2):
+            yield 0, check_intersection_family(pair, e)
+    for pos in range(config.count):
+        I = sample_ideal(ring, config, pos)
+        x = sample_polynomial(ring, config, pos)
+        for e in e_list:
+            for rep in _element_checks(I, x, e):
+                yield pos + 1, rep
+
+
 def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> ProbeReport:
     """Searches for a violation of the three identities: a fixed
     structured family first, then seeded random (I, x) trials.
@@ -291,31 +311,8 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
         "regardless (flatness of the Frobenius needs no reducedness)"
     )
     structured = 0
-    ideals, elems = _structured_inputs(ring)
-
-    def finish(verdict, trials, failure):
-        return ProbeReport(
-            verdict, ring.describe(), reduced, trials, structured, failure, note
-        )
-
-    for e in e_list:
-        for I in ideals:
-            for x in elems:
-                for rep in _element_checks(ring, I, x, e):
-                    structured += 1
-                    if not rep.passed:
-                        return finish(NOT_REGULAR, 0, rep)
-        for Ia, Ib in itertools.combinations(ideals, 2):
-            structured += 1
-            rep = check_intersection_family(ring, [Ia, Ib], e)
-            if not rep.passed:
-                return finish(NOT_REGULAR, 0, rep)
-
-    for pos in range(config.count):
-        I = sample_ideal(ring, config, pos)
-        x = sample_polynomial(ring, config, pos)
-        for e in e_list:
-            for rep in _element_checks(ring, I, x, e):
-                if not rep.passed:
-                    return finish(NOT_REGULAR, pos + 1, rep)
-    return finish(NO_WITNESS_FOUND, config.count, None)
+    for trials, rep in _probe_checks(ring, config, e_list):
+        structured += trials == 0
+        if not rep.passed:
+            return ProbeReport(NOT_REGULAR, ring.describe(), reduced, trials, structured, rep, note)
+    return ProbeReport(NO_WITNESS_FOUND, ring.describe(), reduced, config.count, structured, None, note)

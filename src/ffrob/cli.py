@@ -107,15 +107,15 @@ _COMMANDS = {
     "fclosure": (("elem", "ideal", "int?"), _fclosure),
     "check2": (
         ("ideal", "ideal", "int?"),
-        lambda ring, s, I, J, e=1: _outcome(check_intersection_family(ring, [I, J], e)),
+        lambda ring, s, I, J, e=1: _outcome(check_intersection_family([I, J], e)),
     ),
     "check3": (
         ("ideal", "elem", "int?"),
-        lambda ring, s, I, x, e=1: _outcome(check_principal_intersection(ring, I, x, e)),
+        lambda ring, s, I, x, e=1: _outcome(check_principal_intersection(I, x, e)),
     ),
     "check4": (
         ("ideal", "elem", "int?"),
-        lambda ring, s, I, x, e=1: _outcome(check_colon(ring, I, x, e)),
+        lambda ring, s, I, x, e=1: _outcome(check_colon(I, x, e)),
     ),
     "fedder": ((), lambda ring, s: {"result": fedder_is_fpure(ring)}),
     "jacobian": ((), lambda ring, s: {"result": jacobian_regularity_oracle(ring)}),
@@ -299,8 +299,15 @@ def run_session(spec: SessionSpec, overrides: dict):
     return reports, code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ParseError, so that it exits 1, not 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="ffor",
         description="Frobenius ideal operations and regularity probes over F_p",
     )
@@ -310,8 +317,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", default=str(_DEFAULTS["seed"]), help="default probe seed")
     ap.add_argument("--count", default=str(_DEFAULTS["count"]), help="default probe trial count")
     ap.add_argument("--emax", default=str(_DEFAULTS["emax"]), help="default Frobenius closure bound")
-    ns = ap.parse_args(argv)
     try:
+        ns = ap.parse_args(argv)
         with open(ns.session, encoding="utf-8") as fh:
             text = fh.read()
         overrides = {}

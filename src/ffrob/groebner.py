@@ -183,19 +183,17 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
     guard = pk.guard
     G = []  # the basis as heads of `_divide`: monic, packed
     leads = []  # leads[k] is G[k]'s leading exponent tuple
-    # normal strategy: smallest lcm degree first, ties by creation order
+    # normal strategy: smallest lcm degree first, ties by creation order,
+    # which is (j, i) order: pairs (i, j) are made as G[j] joins, i ascending
     pairs = []
-    serial = 0
     treated = set()
 
     def adjoin(rem):
-        nonlocal serial
         head = _head(rem, field)
         lead = pk.unpack(head[0])
         j = len(G)
         for i in range(j):
-            heappush(pairs, (sum(map(max, leads[i], lead)), serial, i, j))
-            serial += 1
+            heappush(pairs, (sum(map(max, leads[i], lead)), j, i))
         G.append(head)
         leads.append(lead)
 
@@ -205,7 +203,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
             adjoin(rem)
 
     while pairs:
-        _, _, i, j = heappop(pairs)
+        _, j, i = heappop(pairs)
         treated.add((i, j))
         lti, ltj = leads[i], leads[j]
         if not any(map(mul, lti, ltj)):  # coprime leading monomials

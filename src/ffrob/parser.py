@@ -14,26 +14,15 @@ from .errors import ExponentOverflowError, ParseError
 from .poly import EXP_LIMIT, POOL_LIMIT, Polynomial, PolyRing
 
 NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable name, as the tokenizer reads one
-_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME})|([()+\-*^]))")
+_TOKEN = re.compile(rf"\s*(?:(?P<int>\d+)|(?P<name>{NAME})|(?P<op>[()+\-*^])|(?P<stray>\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} in {text!r}")
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "stray":
+            raise ParseError(f"unexpected character {m['stray']!r} in {text!r}")
+        tokens.append((m.lastgroup, m[m.lastgroup]))
     return tokens
 
 

@@ -306,8 +306,6 @@ class Polynomial:
         for ma, ca in self.terms:
             for mb, cb in other.terms:
                 m = tuple(map(add, ma, mb))
-                if m and max(m) >= EXP_LIMIT:
-                    _overflow(m)
                 acc[m] = acc.get(m, 0) + ca * cb
         return self.ring.poly(acc)
 

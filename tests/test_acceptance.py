@@ -66,7 +66,7 @@ def test_criterion_1_dual_numbers_corpus():
     ok = True
     for a, b in itertools.combinations(ideals, 2):
         for e in (1, 2):
-            ok = ok and check_intersection_family(D, [a, b], e).passed
+            ok = ok and check_intersection_family([a, b], e).passed
     ok = ok and not is_reduced(D)
     ok = ok and jacobian_regularity_oracle(D) == SINGULAR
     verdict(1, "dual numbers corpus", ok, time.monotonic() - t0, 1.0)
@@ -81,7 +81,7 @@ def test_criterion_2_counterexample_corpus():
     ok = ok and bracket_power(meet, 1) == R.ideal([])
     both = bracket_power(I, 1).intersect(bracket_power(J, 1))
     ok = ok and both.contains(P(R, "x^2*z"))
-    rep = check_intersection_family(R, [I, J], 1)
+    rep = check_intersection_family([I, J], 1)
     ok = ok and not rep.passed and str(rep.witness.separator) == "x^2*z"
     ok = ok and nilradical_char_p(R).ideal == R.ideal([P(R, "x"), P(R, "y")])
     verdict(2, "counterexample corpus", ok, time.monotonic() - t0, 5.0)
@@ -100,9 +100,9 @@ def test_criterion_3_regular_ring_property_suite():
             if x.is_zero:
                 x = ring.ambient.one()
             trio = (
-                check_principal_intersection(ring, I, x, 1).passed
-                and check_colon(ring, I, x, 1).passed
-                and check_intersection_family(ring, [I, J], 1).passed
+                check_principal_intersection(I, x, 1).passed
+                and check_colon(I, x, 1).passed
+                and check_intersection_family([I, J], 1).passed
             )
             ok = ok and trio
             passes += trio
@@ -118,13 +118,13 @@ def test_criterion_4_cusp_witness():
 
     I = cusp.ideal([P(cusp, "x")])
     y = P(cusp, "y")
-    rep4 = check_colon(cusp, I, y, 1)
+    rep4 = check_colon(I, y, 1)
     lhs4 = bracket_power(I.colon(y), 1)
     rhs4 = bracket_power(I, 1).colon(y.frobenius_power(1))
     ok = ok and not rep4.passed
     ok = ok and lhs4 == cusp.ideal([P(cusp, "x^2")]) and rhs4.is_unit
 
-    rep3 = check_principal_intersection(cusp, I, y, 1)
+    rep3 = check_principal_intersection(I, y, 1)
     ok = ok and not rep3.passed
     # separator agrees with x^3 modulo the cusp relation (t^6 in the
     # numerical-semigroup picture, pre-verified by the semigroup oracle
@@ -206,7 +206,7 @@ def test_criterion_7_fpurity_and_proposition():
     ideals, elems = _structured_inputs(D)
     for I in ideals:
         for x in elems:
-            ok = ok and check_principal_intersection(D, I, x, 1).passed
+            ok = ok and check_principal_intersection(I, x, 1).passed
     N = nilradical_char_p(D).ideal
     R_red = QuotientRing(D.field, D.names, list(N.groebner))
     ok = ok and fedder_is_fpure(R_red)
@@ -222,9 +222,9 @@ def test_criterion_8_determinism_and_soundness():
     R4 = make_ring(2, ("x", "y", "z", "w"), ("x^3", "x^2*z + y^2*w", "x*y", "y^3"))
     I4, J4 = R4.ideal([P(R4, "x")]), R4.ideal([P(R4, "y")])
     failures = [
-        (check_principal_intersection(cusp, cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1), cusp),
-        (check_colon(cusp, cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1), cusp),
-        (check_intersection_family(R4, [I4, J4], 1), R4),
+        (check_principal_intersection(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1), cusp),
+        (check_colon(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1), cusp),
+        (check_intersection_family([I4, J4], 1), R4),
     ]
     for rep, ring in failures:
         ok = ok and not rep.passed and reverify_witness(rep, ring)

@@ -17,6 +17,7 @@ from ffrob import (
     PolyRing,
     PrimeField,
     QuotientRing,
+    RingMismatchError,
     SamplerConfig,
     bracket_power,
     check_colon,
@@ -76,12 +77,12 @@ def counterexample():
 
 def test_check3_passes_on_polynomial_ring():
     R = make_ring(2, ("x", "y"))
-    rep = check_principal_intersection(R, R.ideal([P(R, "x^2+y")]), P(R, "x"), 1)
+    rep = check_principal_intersection(R.ideal([P(R, "x^2+y")]), P(R, "x"), 1)
     assert rep.passed
 
 
 def test_check3_zero_ideal_trivially_passes(cusp):
-    rep = check_principal_intersection(cusp, cusp.ideal([]), P(cusp, "y"), 1)
+    rep = check_principal_intersection(cusp.ideal([]), P(cusp, "y"), 1)
     assert rep.passed
 
 
@@ -95,7 +96,7 @@ def test_cusp_check3_witness_matches_semigroup_oracle(cusp):
     rhs = sg.bracket(sorted(meet), 2)
     assert 6 in lhs and 6 not in rhs
 
-    rep = check_principal_intersection(cusp, cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
+    rep = check_principal_intersection(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
     assert not rep.passed
     sep = rep.witness.separator
     # the separator is x^3 up to the cusp relation
@@ -105,7 +106,7 @@ def test_cusp_check3_witness_matches_semigroup_oracle(cusp):
 def test_cusp_check4_sides(cusp):
     I = cusp.ideal([P(cusp, "x")])
     y = P(cusp, "y")
-    rep = check_colon(cusp, I, y, 1)
+    rep = check_colon(I, y, 1)
     assert not rep.passed
     lhs = bracket_power(I.colon(y), 1)
     rhs = bracket_power(I, 1).colon(y.frobenius_power(1))
@@ -115,7 +116,7 @@ def test_cusp_check4_sides(cusp):
 
 def test_check4_by_unit_passes(cusp):
     I = cusp.ideal([P(cusp, "x")])
-    rep = check_colon(cusp, I, cusp.ambient.one(), 1)
+    rep = check_colon(I, cusp.ambient.one(), 1)
     assert rep.passed
 
 
@@ -126,13 +127,13 @@ def test_check2_dual_numbers_all_pairs():
 
     for a, b in itertools.combinations(ideals, 2):
         for e in (1, 2):
-            assert check_intersection_family(D, [a, b], e).passed
+            assert check_intersection_family([a, b], e).passed
 
 
 def test_check2_counterexample_witness(counterexample):
     I = counterexample.ideal([P(counterexample, "x")])
     J = counterexample.ideal([P(counterexample, "y")])
-    rep = check_intersection_family(counterexample, [I, J], 1)
+    rep = check_intersection_family([I, J], 1)
     assert not rep.passed
     assert str(rep.witness.separator) == "x^2*z"
     assert reverify_witness(rep, counterexample)
@@ -142,9 +143,9 @@ def test_reverify_rejects_a_separator_in_both_sides(cusp, counterexample):
     C = counterexample
     I, y = cusp.ideal([P(cusp, "x")]), P(cusp, "y")
     reports = [
-        (check_principal_intersection(cusp, I, y, 1), cusp),
-        (check_colon(cusp, I, y, 1), cusp),
-        (check_intersection_family(C, [C.ideal([P(C, "x")]), C.ideal([P(C, "y")])], 1), C),
+        (check_principal_intersection(I, y, 1), cusp),
+        (check_colon(I, y, 1), cusp),
+        (check_intersection_family([C.ideal([P(C, "x")]), C.ideal([P(C, "y")])], 1), C),
     ]
     assert [rep.identity for rep, _ in reports] == [PRINCIPAL_INTERSECTION, COLON, INTERSECTION_FAMILY]
     for rep, ring in reports:
@@ -154,24 +155,38 @@ def test_reverify_rejects_a_separator_in_both_sides(cusp, counterexample):
 
 
 def test_reverify_rejects_an_unknown_identity(cusp):
-    rep = check_colon(cusp, cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
+    rep = check_colon(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
     with pytest.raises(ValueError, match="unknown identity"):
         reverify_witness(dataclasses.replace(rep, identity="NO_SUCH_IDENTITY"), cusp)
 
 
 def test_check2_degenerate_family(counterexample):
     I = counterexample.ideal([P(counterexample, "x")])
-    assert check_intersection_family(counterexample, [I, I], 1).passed
+    assert check_intersection_family([I, I], 1).passed
 
 
 def test_witness_reverifies(cusp):
     I = cusp.ideal([P(cusp, "x")])
     for rep in (
-        check_principal_intersection(cusp, I, P(cusp, "y"), 1),
-        check_colon(cusp, I, P(cusp, "y"), 1),
+        check_principal_intersection(I, P(cusp, "y"), 1),
+        check_colon(I, P(cusp, "y"), 1),
     ):
         assert not rep.passed
         assert reverify_witness(rep, cusp)
+
+
+def test_a_check_runs_in_its_ideals_ring(cusp):
+    # the same generators and element: the identities fail in the cusp and
+    # hold in F_2[x,y], and each report names the ring its ideal lives in
+    R = make_ring(2, ("x", "y"))
+    for chk in (check_colon, check_principal_intersection):
+        rep = chk(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
+        assert rep.outcome == "FAIL" and rep.ring == "F_2[x,y]/(x^3 + y^2)"
+        assert reverify_witness(rep, cusp)
+        rep = chk(R.ideal([P(R, "x")]), P(R, "y"), 1)
+        assert rep.outcome == "PASS" and rep.ring == "F_2[x,y]"
+    with pytest.raises(RingMismatchError):
+        check_intersection_family([cusp.ideal([P(cusp, "x")]), R.ideal([P(R, "y")])], 1)
 
 
 def test_scaling_invariance():
@@ -180,10 +195,10 @@ def test_scaling_invariance():
     I_scaled = R.ideal([P(R, "2*x^2+2*y"), P(R, "2*x*y")])
     x = P(R, "x+y")
     assert (
-        check_principal_intersection(R, I, x, 1).outcome
-        == check_principal_intersection(R, I_scaled, x, 1).outcome
+        check_principal_intersection(I, x, 1).outcome
+        == check_principal_intersection(I_scaled, x, 1).outcome
     )
-    assert check_colon(R, I, x, 1).outcome == check_colon(R, I_scaled, x, 1).outcome
+    assert check_colon(I, x, 1).outcome == check_colon(I_scaled, x, 1).outcome
 
 
 @st.composite
@@ -386,7 +401,7 @@ def test_proposition_pipeline_dual_numbers():
     ideals, elems = _structured_inputs(D)
     for I in ideals:
         for x in elems:
-            assert check_principal_intersection(D, I, x, 1).passed
+            assert check_principal_intersection(I, x, 1).passed
     from ffrob import nilradical_char_p
 
     N = nilradical_char_p(D).ideal
@@ -404,18 +419,18 @@ def _replay_probe(ring, config, e_list):
     for e in e_list:
         for I, x, chk in itertools.product(ideals, elems, element_checks):
             structured += 1
-            rep = chk(ring, I, x, e)
+            rep = chk(I, x, e)
             if not rep.passed:
                 return NOT_REGULAR, 0, structured, rep
         for pair in itertools.combinations(ideals, 2):
             structured += 1
-            rep = check_intersection_family(ring, pair, e)
+            rep = check_intersection_family(pair, e)
             if not rep.passed:
                 return NOT_REGULAR, 0, structured, rep
     for pos in range(config.count):
         I, x = sample_ideal(ring, config, pos), sample_polynomial(ring, config, pos)
         for e, chk in itertools.product(e_list, element_checks):
-            rep = chk(ring, I, x, e)
+            rep = chk(I, x, e)
             if not rep.passed:
                 return NOT_REGULAR, pos + 1, structured, rep
     return NO_WITNESS_FOUND, config.count, structured, None

@@ -40,6 +40,12 @@ def test_parse_polynomial_errors(bad):
         parse_polynomial(bad, R5)
 
 
+def test_tokenizer_names_the_stray_character_and_skips_trailing_space():
+    with pytest.raises(ParseError, match=re.escape("unexpected character '$' in 'x $ y'")):
+        parse_polynomial("x $ y", R5)
+    assert parse_polynomial("x + 1   ", R5) == parse_polynomial("x+1", R5)
+
+
 def test_parse_round_trip():
     for text in ("x^2*y + 3", "x*y + 4*x + 1", "x^3 + 2*y^3"):
         f = parse_polynomial(text, R5)
@@ -559,6 +565,31 @@ def test_cli_malformed_default_is_an_error(capsys, flag, value, message):
     # exit code 2 means a witness was found; a bad option value is an error
     assert cli.main([str(SESSIONS / "polyring.ffor"), flag, value]) == 1
     assert capsys.readouterr().err == f"ffor: error: {message}\n"
+
+
+POLYRING = str(SESSIONS / "polyring.ffor")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([POLYRING, "--bogus"], "unrecognized arguments: --bogus"),
+        ([POLYRING, "--count"], "argument --count: expected one argument"),
+        ([POLYRING, "--count", "-x"], "argument --count: expected one argument"),
+        ([], "the following arguments are required: session"),
+    ],
+)
+def test_cli_usage_error_is_an_error(capsys, argv, message):
+    # argparse's own exit code, 2, means a witness was found
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"ffor: error: {message}\n"
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([POLYRING, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ffor")
 
 
 def test_power_by_base_p_digits_is_fast(tmp_path, capsys):
