@@ -3,9 +3,12 @@
 The reduced Groebner basis under a fixed order is the unique canonical
 form of an ideal; every ideal-level equality test in the package bottoms
 out here.  Nothing here caches a basis: `buchberger` runs on every
-call, and `ffrob.ideals.Ideal` keeps the one basis cache.  Pair
-selection is the normal strategy (minimal lcm degree, ties by pair
-creation index) so the computation is fully deterministic.
+call, and `ffrob.ideals.Ideal` keeps the one basis cache.  Pairs are
+installed as Gebauer & Möller (1988) describe: as an element joins, the
+B criterion drops pending pairs and the M and F criteria drop new ones,
+so a pair ruled out is never queued.  Pair selection is the normal
+strategy (minimal lcm degree, ties by creation order), so the
+computation is fully deterministic.
 
 Inside the kernel a monomial is one Python int and a term is two, the
 monomial and its coefficient: the packing of `ffrob.poly`, which defines
@@ -20,10 +23,14 @@ in a heap of negated packed monomials, largest first (Johnson 1974;
 Monagan & Pearce 2011).  A term that cancels keeps its heap entry, with
 coefficient 0, and is skipped when popped; every term a reduction step
 adds is smaller than the one being reduced, so a monomial never comes
-back once popped.  S-pairs wait in a separate heap of (lcm degree,
-creation index), the same order as the normal strategy above.
+back once popped.  Buchberger reduces each S-polynomial and input
+generator only until its leading term is irreducible, where `_divide`
+can stop, and leaves the tails to the final `_reduce_basis`.  S-pairs
+wait in a separate heap of (lcm degree, j, i, lcm), in the order of the
+normal strategy above.
 Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
-`s_polynomial`, `buchberger`) and unpacked on the way out, in canonical
+`s_polynomial`, `buchberger`), which raise RingMismatchError unless
+their inputs share one ring, and unpacked on the way out, in canonical
 order, so no result is re-sorted.  `_buchberger_core` sees packed terms
 only: it takes work dicts, the field and a packing, and returns the
 reduced basis as heads.  `buchberger` is its one polynomial entry point.
@@ -39,7 +46,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter, mul
 
-from .poly import MonomialOrder, Polynomial, PolyRing, _Packing, _packing
+from .poly import MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
 
 
 def _head(terms, field) -> tuple:
@@ -52,7 +59,7 @@ def _head(terms, field) -> tuple:
     return lm, [(m, c * inv % p) for m, c in terms[1:]]
 
 
-def _divide(work, heads, p: int, pk: _Packing, quot=None) -> list:
+def _divide(work, heads, p: int, pk: _Packing, quot=None, top=False) -> list:
     """Remainder of the polynomial `work` on division by `heads`.
 
     work maps packed monomials to coefficients, zeros allowed, and is
@@ -60,7 +67,10 @@ def _divide(work, heads, p: int, pk: _Packing, quot=None) -> list:
     `_head`; the first head whose lead divides a term reduces it.
     Returns the remainder's packed terms in descending order.  Given a
     list quot, each reduction step appends (cofactor, coefficient) to it:
-    with one head, quot is then the quotient, in descending order."""
+    with one head, quot is then the quotient, in descending order.
+    With top, the division stops at the first term no head reduces and
+    returns that term followed by the other nonzero working terms, in
+    no particular order."""
     guard = pk.guard
     # every monomial of work has one heap entry; a cancelled term stays in
     # work with coefficient 0 until it is popped
@@ -88,6 +98,8 @@ def _divide(work, heads, p: int, pk: _Packing, quot=None) -> list:
                     work[t] = (v - c * gc) % p
                 break
         else:
+            if top:
+                return [(m, c)] + [t for t in work.items() if t[1]]
             out.append((m, c))
     return out
 
@@ -120,10 +132,11 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     No term of the result is divisible by any basis leading monomial;
     for a reduced Groebner basis the result is the unique normal form.
     """
+    ring = f.ring
+    _check_rings(ring, basis)
     basis = [g for g in basis if not g.is_zero]
     if f.is_zero or not basis:
         return f
-    ring = f.ring
     pk = ring.packing
     heads = [_head(pk.terms(g.terms), ring.field) for g in basis]
     return pk.polynomial(ring, _divide(dict(pk.terms(f.terms)), heads, ring.field.p, pk))
@@ -133,6 +146,7 @@ def poly_divmod(f: Polynomial, g: Polynomial):
     """Single-divisor division: returns (q, r) with f = q*g + r and no
     term of r divisible by the leading monomial of g."""
     ring = f.ring
+    _check_rings(ring, (g,))
     field, pk = ring.field, ring.packing
     quot = []
     head = _head(pk.terms(g.terms), field)
@@ -153,6 +167,7 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     ring = f.ring
+    _check_rings(ring, (g,))
     pk = ring.packing
     lcm = pk.pack(map(max, f.leading_monomial, g.leading_monomial))
     a, b = (_head(pk.terms(h.terms), ring.field) for h in (f, g))
@@ -166,6 +181,8 @@ def buchberger(gens):
     descending leading monomial — the canonical form used for ideal
     equality.  Every call runs the algorithm and returns a fresh list.
     """
+    if gens:
+        _check_rings(gens[0].ring, gens)
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
@@ -180,60 +197,78 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
     are consumed in the order given, as heads (lm, tail) in descending
     order of lm."""
     p = field.p
-    guard = pk.guard
-    G = []  # the basis as heads of `_divide`: monic, packed
+    guard, pack = pk.guard, pk.pack
+    G = []  # every element as a head of `_divide`: monic, packed, tail unreduced
     leads = []  # leads[k] is G[k]'s leading exponent tuple
+    basis = []  # the pair-forming set, as indices into G
     # normal strategy: smallest lcm degree first, ties by creation order,
-    # which is (j, i) order: pairs (i, j) are made as G[j] joins, i ascending
-    pairs = []
-    treated = set()
+    # which is (j, i) order: pairs (i, j) are made as G[j] joins
+    pairs = []  # (lcm degree, j, i, packed lcm)
 
     def adjoin(rem):
         head = _head(rem, field)
-        lead = pk.unpack(head[0])
+        lm = head[0]
+        lead = pk.unpack(lm)
         j = len(G)
-        for i in range(j):
-            heappush(pairs, (sum(map(max, leads[i], lead)), j, i))
         G.append(head)
         leads.append(lead)
+        if basis:
+            cands = []  # (lcm degree, i, packed lcm) for each i of the pair-forming set
+            divided = False  # does lm divide a lead of the pair-forming set?
+            for i in basis:
+                t = tuple(map(max, leads[i], lead))
+                cands.append((sum(t), i, pack(t)))
+                if t == leads[i]:
+                    divided = True
+            if pairs:
+                # B criterion: a pending pair (a, b) whose lcm lm divides is
+                # chained through j, unless its lcm is lcm(a, j) or lcm(b, j)
+                live = [
+                    q
+                    for q in pairs
+                    if (q[3] - lm) & guard
+                    or pack(map(max, leads[q[2]], lead)) == q[3]
+                    or pack(map(max, leads[q[1]], lead)) == q[3]
+                ]
+                if len(live) < len(pairs):
+                    pairs[:] = live
+                    heapify(pairs)
+            # M and F criteria: in ascending (degree, i), a candidate goes
+            # when a kept one's lcm divides its lcm; coprime leads are kept
+            # but need no S-polynomial
+            kept = []
+            for d, i, lcm in sorted(cands):
+                for other in kept:
+                    if not (lcm - other) & guard:
+                        break
+                else:
+                    kept.append(lcm)
+                    if any(map(mul, leads[i], lead)):
+                        heappush(pairs, (d, j, i, lcm))
+            # elements whose lead lm divides leave the pair-forming set;
+            # they stay in G as reducers
+            if divided:
+                basis[:] = [i for i in basis if (G[i][0] - lm) & guard]
+        basis.append(j)
 
     for work in works:
-        rem = _divide(work, G, p, pk)
+        rem = _divide(work, G, p, pk, top=True)
         if rem:
             adjoin(rem)
-
     while pairs:
-        _, j, i = heappop(pairs)
-        treated.add((i, j))
-        lti, ltj = leads[i], leads[j]
-        if not any(map(mul, lti, ltj)):  # coprime leading monomials
-            continue
-        lcm = pk.pack(map(max, lti, ltj))
-        # chain criterion: some k divides the lcm and both chained pairs are done
-        for k, (lmk, _) in enumerate(G):
-            if not (lcm - lmk) & guard and k != i and k != j:
-                a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-                if a in treated and b in treated:
-                    break
-        else:
-            rem = _divide(_spair(lcm, G[i], G[j], p, pk), G, p, pk)
-            if rem:
-                adjoin(rem)
-    return _reduce_basis(G, p, pk)
+        _, j, i, lcm = heappop(pairs)
+        rem = _divide(_spair(lcm, G[i], G[j], p, pk), G, p, pk, top=True)
+        if rem:
+            adjoin(rem)
+    return _reduce_basis([G[i] for i in basis], p, pk)
 
 
 def _reduce_basis(G, p: int, pk: _Packing) -> list:
-    """Minimize and tail-reduce the heads of a Groebner basis into the
-    reduced basis, as heads in descending order of their leads."""
-    guard = pk.guard
-    # drop heads whose lead is divisible by another's: in ascending order a
-    # divisor, never bigger, is met first, so one pass against the kept
-    # ones suffices (the leads of G are distinct)
-    kept = []
-    for head in sorted(G, key=itemgetter(0)):
-        if all((head[0] - lm) & guard for lm, _ in kept):
-            kept.append(head)
-    # tail-reduce each against the rest; no other lead divides its lead
+    """Tail-reduce the heads of a minimal Groebner basis into the reduced
+    basis, as heads in descending order of their leads."""
+    # each tail is reduced against the rest, smaller leads first; no other
+    # lead divides its lead, so the order changes no result
+    kept = sorted(G, key=itemgetter(0))
     for i, (lm, tail) in enumerate(kept):
         kept[i] = (lm, _divide(dict(tail), kept[:i] + kept[i + 1 :], p, pk))
     kept.sort(key=itemgetter(0), reverse=True)

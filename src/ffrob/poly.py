@@ -255,6 +255,14 @@ def _overflow(exps):
     raise ExponentOverflowError(f"exponent {e} exceeds 2^32")
 
 
+def _check_rings(ring: PolyRing, polys):
+    """Raise RingMismatchError unless every one of polys lives in ring;
+    a polynomial that holds the ring object itself costs one identity test."""
+    for g in polys:
+        if g.ring is not ring and g.ring != ring:
+            raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
+
+
 class Polynomial:
     """Immutable canonical sparse polynomial; build via PolyRing.poly()."""
 
@@ -282,12 +290,8 @@ class Polynomial:
             return -1
         return max(sum(m) for m, _ in self.terms)
 
-    def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
-            raise RingMismatchError(f"{self.ring!r} vs {other.ring!r}")
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         acc = dict(self.terms)
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) + c
@@ -301,7 +305,7 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         acc = {}
         for ma, ca in self.terms:
             for mb, cb in other.terms:

@@ -195,6 +195,52 @@ def reference_normal_form(f, basis, p: int, order, reappeared=None):
     return out
 
 
+def reference_groebner(gens, p: int, order):
+    """Reduced Groebner basis of the gens by Buchberger's algorithm with
+    no pair criterion: every pair's S-polynomial is formed and fully
+    reduced by `reference_normal_form`, then the basis is made minimal,
+    monic and tail-reduced.  Polynomials are {exponent-tuple: coeff}
+    dicts; the result is in descending order of leading monomial."""
+
+    def key(m):
+        return order_key(order, m)
+
+    def monic(g):
+        inv = pow(g[max(g, key=key)], p - 2, p)
+        return {m: c * inv % p for m, c in g.items()}
+
+    def lcm(pair):
+        return tuple(map(max, *(max(basis[i], key=key) for i in pair)))
+
+    basis = [g for g in ({m: c % p for m, c in g.items() if c % p} for g in gens) if g]
+    pairs = list(itertools.combinations(range(len(basis)), 2))
+    while pairs:
+        # the pair of smallest lcm first: the normal strategy
+        i, j = pair = min(pairs, key=lambda pair: key(lcm(pair)))
+        pairs.remove(pair)
+        f, g = monic(basis[i]), monic(basis[j])
+        lf, lg, lfg = max(f, key=key), max(g, key=key), lcm(pair)
+        s = {}
+        for h, lh, sign in ((f, lf, 1), (g, lg, -1)):
+            for m, c in h.items():
+                t = _shifted(lfg, lh, m)
+                s[t] = (s.get(t, 0) + sign * c) % p
+        r = reference_normal_form(s, basis, p, order)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    # minimal: in ascending order of lead, a divisor of a lead comes first
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(max(g, key=key))):
+        if not any(_mono_divides(max(h, key=key), max(g, key=key)) for h in minimal):
+            minimal.append(monic(g))
+    # no other lead divides a lead, so each reduction keeps its lead
+    reduced = [
+        reference_normal_form(g, [h for h in minimal if h is not g], p, order) for g in minimal
+    ]
+    return sorted(reduced, key=lambda g: key(max(g, key=key)), reverse=True)
+
+
 def reference_divmod(f, g, p: int, order):
     """(quotient, remainder) dicts of f by the single divisor g, by the
     same `max`-driven loop."""
