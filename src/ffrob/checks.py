@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .frobenius import bracket_power, is_reduced
 from .ideals import Ideal, QuotientRing, _divide_out
-from .poly import Polynomial, monomial_pool
+from .poly import Polynomial, _check_rings, monomial_pool
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
 PRINCIPAL_INTERSECTION = "PRINCIPAL_INTERSECTION"
@@ -160,10 +160,12 @@ def check_intersection_family(ideals, e: int = 1) -> CheckReport:
 def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
     """Recompute the failed identity from scratch with the ideal
     re-presented (generators reversed, plus a redundant combination) and
-    confirm the separator still lands in exactly one side."""
+    confirm the separator still lands in exactly one side.  A ring other
+    than the witness's raises RingMismatchError."""
     w = report.witness
     if w is None:
         return False
+    _check_rings(ring, (w.I,))
     entry = _SIDES.get(report.identity)
     if entry is None:
         raise ValueError(f"unknown identity {report.identity}")

@@ -10,15 +10,16 @@ needs only J's reduced basis, cached per `Ideal`: every generator of I
 must reduce to zero by it, and Q lies in both lifts.  Equality compares
 the two reduced bases.  An intersection joins Q to one side only, and a
 colon is an intersection followed by exact division (Cox, Little &
-O'Shea, section 4.4).
+O'Shea, section 4.4).  A polynomial or an ideal from another ring is
+refused by `_check_rings` before any basis is computed.
 """
 
 from __future__ import annotations
 
-from .errors import FFrobError, RingMismatchError
+from .errors import FFrobError
 from .field import PrimeField
 from .groebner import buchberger, normal_form, poly_divexact, poly_ideal_intersect
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, _check_rings
 
 
 class QuotientRing:
@@ -94,15 +95,9 @@ class Ideal:
 
     def __init__(self, ring: QuotientRing, gens):
         self.ring = ring
-        converted = []
-        for g in gens:
-            if g.ring != ring.ambient:
-                raise RingMismatchError(
-                    f"generator {g!r} does not live in {ring.ambient!r}"
-                )
-            if not g.is_zero:
-                converted.append(g)
-        self.gens = tuple(converted)
+        gens = tuple(gens)  # read once: gens may be an iterator
+        _check_rings(ring.ambient, gens)
+        self.gens = tuple(g for g in gens if not g.is_zero)
         self._gb = None
 
     @property
@@ -113,8 +108,8 @@ class Ideal:
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:
-        if f.ring != self.ring.ambient:
-            raise RingMismatchError("element lives in a different ring")
+        # normal_form checks f only against a nonempty basis
+        _check_rings(self.ring.ambient, (f,))
         return normal_form(f, self.groebner).is_zero
 
     @property
@@ -122,12 +117,8 @@ class Ideal:
         gb = self.groebner
         return bool(gb) and gb[-1].total_degree() == 0
 
-    def _check_ring(self, other: "Ideal"):
-        if self.ring != other.ring:
-            raise RingMismatchError("ideals live in different rings")
-
     def __add__(self, other: "Ideal") -> "Ideal":
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         return Ideal(self.ring, self.gens + other.gens)
 
     def intersect(self, other: "Ideal") -> "Ideal":
@@ -136,20 +127,18 @@ class Ideal:
         Q joins I's side only: Q ⊆ I + Q, so by the modular law
         (I+Q) ∩ (J+Q) = ((I+Q) ∩ J) + Q, and the result's lift adds Q
         back."""
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         lift = list(self.gens) + list(self.ring.quotient_gens)
         return Ideal(self.ring, poly_ideal_intersect(self.ring.ambient, lift, list(other.gens)))
 
     def colon(self, x: Polynomial) -> "Ideal":
         """(I : x) = {f : f·x ∈ I} as an ideal of R, computed as
         (I ∩ (x)) / x by `_divide_out`."""
-        if x.ring != self.ring.ambient:
-            raise RingMismatchError("element lives in a different ring")
         return _divide_out(self.intersect(self.ring.ideal([x])), x)
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) = ∩_j (I : g_j) over the generators of J."""
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         if not other.gens:
             return self.ring.unit_ideal()
         result = None
@@ -160,7 +149,7 @@ class Ideal:
 
     def __le__(self, other: "Ideal") -> bool:
         """I ⊆ J; one presentation is one ideal, so equal generators need no basis."""
-        self._check_ring(other)
+        _check_rings(self.ring, (other,))
         return self.gens == other.gens or all(map(other.contains, self.gens))
 
     def __eq__(self, other):

@@ -204,7 +204,7 @@ class PolyRing:
         return self.poly({tuple(exps): 1})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names
@@ -255,10 +255,11 @@ def _overflow(exps):
     raise ExponentOverflowError(f"exponent {e} exceeds 2^32")
 
 
-def _check_rings(ring: PolyRing, polys):
-    """Raise RingMismatchError unless every one of polys lives in ring;
-    a polynomial that holds the ring object itself costs one identity test."""
-    for g in polys:
+def _check_rings(ring, items):
+    """Raise RingMismatchError unless every one of items lives in ring:
+    polynomials against a PolyRing, ideals against a QuotientRing.  An
+    item that holds the ring object itself costs one identity test."""
+    for g in items:
         if g.ring is not ring and g.ring != ring:
             raise RingMismatchError(f"{ring!r} vs {g.ring!r}")
 

@@ -24,6 +24,7 @@ from ffrob import (
     check_intersection_family,
     check_principal_intersection,
     fedder_is_fpure,
+    frobenius_closure_test,
     frobenius_kernel_preimage,
     is_frobenius_closed,
     is_reduced,
@@ -47,6 +48,7 @@ from ffrob.checks import (
     _SIDES,
     _structured_inputs,
 )
+from ffrob import groebner
 from ffrob.poly import monomial_pool
 
 from oracles import CuspSemigroup
@@ -183,10 +185,44 @@ def test_a_check_runs_in_its_ideals_ring(cusp):
         rep = chk(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
         assert rep.outcome == "FAIL" and rep.ring == "F_2[x,y]/(x^3 + y^2)"
         assert reverify_witness(rep, cusp)
+        # a witness reverifies in an equal ring built apart, never in another
+        assert reverify_witness(rep, make_ring(2, ("x", "y"), ("y^2+x^3",)))
+        with pytest.raises(RingMismatchError):
+            reverify_witness(rep, R)
         rep = chk(R.ideal([P(R, "x")]), P(R, "y"), 1)
         assert rep.outcome == "PASS" and rep.ring == "F_2[x,y]"
     with pytest.raises(RingMismatchError):
         check_intersection_family([cusp.ideal([P(cusp, "x")]), R.ideal([P(R, "y")])], 1)
+
+
+def test_a_foreign_input_is_refused_before_any_work(cusp, monkeypatch):
+    # a polynomial over F_3 and an ideal of F_2[x,y], each against the cusp
+    R = make_ring(2, ("x", "y"))
+    f = P(make_ring(3, ("x", "y")), "x")
+    I, J = cusp.ideal([P(cusp, "x")]), R.ideal([P(R, "y")])
+    rep = check_colon(I, P(cusp, "y"), 1)
+    refused = {
+        "Ideal": lambda: Ideal(cusp, [f]),
+        "ideal": lambda: cusp.ideal([f]),
+        "contains": lambda: I.contains(f),
+        "colon": lambda: I.colon(f),
+        "intersect": lambda: I.intersect(J),
+        "+": lambda: I + J,
+        "<=": lambda: I <= J,
+        "colon_ideal": lambda: I.colon_ideal(J),
+        "frobenius_closure_test": lambda: frobenius_closure_test(f, I, 2),
+        "check_colon": lambda: check_colon(I, f, 1),
+        "check_principal_intersection": lambda: check_principal_intersection(I, f, 1),
+        "check_intersection_family": lambda: check_intersection_family([I, J], 1),
+        "reverify_witness": lambda: reverify_witness(rep, R),
+    }
+    runs = []
+    core = groebner._buchberger_core
+    monkeypatch.setattr(groebner, "_buchberger_core", lambda *a: runs.append(a) or core(*a))
+    for name, call in refused.items():
+        with pytest.raises(RingMismatchError):
+            call()
+        assert (name, len(runs)) == (name, 0)
 
 
 def test_scaling_invariance():

@@ -207,3 +207,16 @@ def test_is_frobenius_closed_verdicts(dual):
     assert verdict.witness == P(dual, "x")
     assert verdict.witness_exponent == 1
     assert is_frobenius_closed(R2.ideal([R2.ambient.one()]), 2, 2).closed
+
+
+def test_closure_search_past_the_enumeration_cap():
+    # four variables have 14 monomials of degree 1 or 2, and 2^14 > 4,096:
+    # the search tries single monomials, then two-monomial combinations
+    for q, witness in (("x^2", "x"), ("x^2+y^2", "x+y")):
+        R = make_ring(2, ("x", "y", "z", "w"), (q,))
+        verdict = is_frobenius_closed(R.ideal([]), 1, 2)
+        assert (verdict.closed, verdict.witness, verdict.witness_exponent) == (
+            False,
+            P(R, witness),
+            1,
+        )

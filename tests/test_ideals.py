@@ -58,6 +58,22 @@ def test_quotient_generator_from_another_ring_rejected():
         QuotientRing(F2, ("x", "y"), [parse_polynomial("y^2+x^3", lex)])
 
 
+def test_generators_are_read_once(cusp):
+    # an iterator of generators is read once, by the ring check and the
+    # zero filter alike
+    plain = ring2()
+    R = QuotientRing(F2, ("x", "y"), (g for g in [P(plain, "y^2+x^3")]))
+    assert R == cusp and not R.is_polynomial_ring
+    assert R.ideal(g for g in [P(R, "x")]).gens == (P(R, "x"),)
+
+
+def test_equal_ideals_hash_equal():
+    plain = QuotientRing(F2, ("x", "y", "z", "w"))
+    R = QuotientRing(F2, ("x", "y", "z", "w"), [P(plain, "x^2")])
+    I, J = R.ideal([P(R, "x"), P(R, "y")]), R.ideal([P(R, "y"), P(R, "x+y")])
+    assert I == J and hash(I) == hash(J)
+
+
 def test_membership_examples(cusp):
     R1 = QuotientRing(F2, ("x",))
     assert R1.ideal([P(R1, "x")]).contains(P(R1, "x^2"))

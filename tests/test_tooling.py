@@ -71,3 +71,25 @@ def test_only_ideal_assigns_its_basis_cache():
         ]
     assert any(ours for _, ours in writes)
     assert [where for where, ours in writes if not ours] == []
+
+
+def test_only_the_ring_check_raises_ring_mismatch():
+    # one decision of whether a polynomial or an ideal lives in a ring,
+    # `_check_rings`; `Polynomial.convert` asks another question: the same
+    # field and names, in any order
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + "." + child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "RingMismatchError":
+                    sites.append(where)
+            visit(child, where)
+
+    for path in sorted(_PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == ["poly.Polynomial.convert", "poly._check_rings"]
