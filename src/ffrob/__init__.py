@@ -25,13 +25,11 @@ from .errors import (
 )
 from .field import PrimeField
 from .frobenius import (
-    ClosureVerdict,
     NilradicalResult,
     bracket_power,
     frobenius_closure_test,
     frobenius_kernel_preimage,
     frobenius_root,
-    is_frobenius_closed,
     is_reduced,
     nilradical_char_p,
 )
@@ -47,7 +45,6 @@ from .poly import MonomialOrder, Polynomial, PolyRing, render
 
 __all__ = [
     "CheckReport",
-    "ClosureVerdict",
     "ExponentOverflowError",
     "FFrobError",
     "Ideal",
@@ -74,7 +71,6 @@ __all__ = [
     "frobenius_closure_test",
     "frobenius_kernel_preimage",
     "frobenius_root",
-    "is_frobenius_closed",
     "is_reduced",
     "jacobian_regularity_oracle",
     "nilradical_char_p",

@@ -185,7 +185,7 @@ def fedder_is_fpure(ring: QuotientRing) -> bool:
         return True
     Q = ring.defining_ideal()
     colon = bracket_power(Q, 1).colon_ideal(Q)
-    m_p = Q.ring.ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
+    m_p = ring.cover().ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
     return not colon <= m_p
 
 

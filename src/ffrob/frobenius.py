@@ -2,18 +2,17 @@
 
 Bracket powers, Frobenius roots in polynomial rings, preimages under the
 Frobenius endomorphism (hence an exact characteristic-p nilradical and a
-reducedness test), and a bounded Frobenius-closure search.
+reducedness test).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import UnsupportedOperationError
 from .groebner import _eliminate
 from .ideals import Ideal, QuotientRing
-from .poly import EXP_LIMIT, Polynomial, monomial_pool
+from .poly import EXP_LIMIT, Polynomial
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -137,51 +136,3 @@ def frobenius_closure_test(x: Polynomial, I: Ideal, e_max: int):
         if bracket_power(I, e).contains(x.frobenius_power(e)):
             return True, e
     return False, None
-
-
-@dataclass(frozen=True)
-class ClosureVerdict:
-    closed: bool  # True means CLOSED_UP_TO_BOUNDS, not a proof of closure
-    witness: Polynomial | None = None
-    witness_exponent: int | None = None
-
-
-# cap on exhaustive coefficient enumeration; beyond it fall back to
-# single monomials and two-monomial combinations
-_ENUM_CAP = 4096
-
-
-def _closure_candidates(ring: QuotientRing, degree_bound: int):
-    S = ring.ambient
-    monos = monomial_pool(S, degree_bound)[1:]  # all but the constant 1
-    p = ring.field.p
-    if p ** len(monos) <= _ENUM_CAP:
-        for coeffs in itertools.product(range(p), repeat=len(monos)):
-            f = S.poly({m: c for m, c in zip(monos, coeffs)})
-            if not f.is_zero:
-                yield f
-    else:
-        for m in monos:
-            yield S.monomial(m)
-        for (m1, m2) in itertools.combinations(monos, 2):
-            for c1 in range(1, p):
-                for c2 in range(1, p):
-                    yield S.poly({m1: c1, m2: c2})
-
-
-def is_frobenius_closed(I: Ideal, e_max: int, degree_bound: int) -> ClosureVerdict:
-    """Bounded search for x ∉ I with x^(p^e) ∈ I^[p^e] for some e ≤ e_max.
-
-    A hit certifies that I is not Frobenius closed; no hit only says the
-    search budget found nothing."""
-    if e_max <= 0 or degree_bound <= 0:
-        raise ValueError("bounds must be positive")
-    if I.is_unit:
-        return ClosureVerdict(True)
-    for x in _closure_candidates(I.ring, degree_bound):
-        if I.contains(x):
-            continue
-        hit, e = frobenius_closure_test(x, I, e_max)
-        if hit:
-            return ClosureVerdict(False, x, e)
-    return ClosureVerdict(True)

@@ -29,8 +29,7 @@ class QuotientRing:
     def __init__(self, field: PrimeField, names, quotient_gens=()):
         self.ambient = PolyRing(field, names)
         gens = Ideal(self, quotient_gens).gens
-        self._cover = QuotientRing(field, names) if gens else self
-        self.Q = Ideal(self._cover, gens)
+        self.Q = Ideal(QuotientRing(field, names) if gens else self, gens)
         if self.Q.is_unit:
             raise FFrobError("quotient ideal is the unit ideal; the ring is trivial")
 
@@ -52,7 +51,7 @@ class QuotientRing:
 
     def cover(self) -> "QuotientRing":
         """F_p[vars]: the ring this one is a quotient of."""
-        return self._cover
+        return self.Q.ring
 
     def ideal(self, gens) -> "Ideal":
         return Ideal(self, gens)

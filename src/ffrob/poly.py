@@ -200,9 +200,6 @@ class PolyRing:
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
 
-    def monomial(self, exps) -> "Polynomial":
-        return self.poly({tuple(exps): 1})
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, PolyRing)

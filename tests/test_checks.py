@@ -26,7 +26,6 @@ from ffrob import (
     fedder_is_fpure,
     frobenius_closure_test,
     frobenius_kernel_preimage,
-    is_frobenius_closed,
     is_reduced,
     jacobian_regularity_oracle,
     parse_polynomial,
@@ -290,9 +289,20 @@ def test_fedder_examples(cusp):
 def test_fpure_implies_frobenius_closed_on_structured_family():
     R = make_ring(2, ("x", "y"), ("x*y",))
     assert fedder_is_fpure(R)
+    # every nonzero F_2-combination of x, y, x^2, xy and y^2
+    S = R.ambient
+    monos = monomial_pool(S, 2)[1:]
+    candidates = [
+        S.poly(dict(zip(monos, coeffs)))
+        for coeffs in itertools.product(range(2), repeat=len(monos))
+        if any(coeffs)
+    ]
+    assert len(candidates) == 31
     for gens in (["x"], ["y"], ["x", "y"]):
         I = R.ideal([P(R, g) for g in gens])
-        assert is_frobenius_closed(I, 2, 2).closed
+        for f in candidates:
+            if not I.contains(f):
+                assert frobenius_closure_test(f, I, 2) == (False, None)
 
 
 def test_jacobian_oracle(cusp):

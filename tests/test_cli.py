@@ -177,7 +177,7 @@ def test_cli_power_past_the_exponent_budget_fails_before_multiplying(tmp_path, e
     assert out.stderr == f"ffor: error: line 2: exponent {exponent} exceeds 2^32\n"
     # the largest power in budget still parses
     top = parse_polynomial("(x*y^2)^2147483647", R5)
-    assert top == R5.monomial((2147483647, 4294967294))
+    assert top == R5.poly({(2147483647, 4294967294): 1})
 
 
 def _run_capped(session):

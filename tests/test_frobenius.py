@@ -10,7 +10,6 @@ from ffrob import (
     frobenius_closure_test,
     frobenius_kernel_preimage,
     frobenius_root,
-    is_frobenius_closed,
     is_reduced,
     nilradical_char_p,
     parse_polynomial,
@@ -118,7 +117,7 @@ def test_monomial_root_against_staircase_enumeration():
     # full enumeration of monomial ideals with generators of degree <= 2
     family = monomial_antichains(2, 2)
     I_gens = [(3, 0), (1, 2)]
-    I = R2.ideal([R2.ambient.monomial(m) for m in I_gens])
+    I = R2.ideal([R2.ambient.poly({m: 1}) for m in I_gens])
     root = frobenius_root(I, 1)
     root_gens = [g.leading_monomial for g in root.groebner]
     admissible = [
@@ -188,6 +187,11 @@ def test_frobenius_closure_examples(dual):
     )
     I = R2.ideal([P(R2, "x^2+y")])
     assert frobenius_closure_test(P(R2, "x^2+y"), I, 3) == (True, 0)
+    # in four variables, x and x + y are nilpotent of order 2 mod (x^2) and
+    # (x^2 + y^2): each is in the Frobenius closure of (0) at e = 1
+    for q, witness in (("x^2", "x"), ("x^2+y^2", "x+y")):
+        R = make_ring(2, ("x", "y", "z", "w"), (q,))
+        assert frobenius_closure_test(P(R, witness), R.ideal([]), 1) == (True, 1)
 
 
 def test_frobenius_closure_monotone_and_shortcut(dual):
@@ -200,23 +204,3 @@ def test_frobenius_closure_monotone_and_shortcut(dual):
         assert bracket_power(Z, ee).contains(x.frobenius_power(ee))
 
 
-def test_is_frobenius_closed_verdicts(dual):
-    assert is_frobenius_closed(R2.ideal([P(R2, "x")]), 2, 2).closed
-    verdict = is_frobenius_closed(dual.ideal([]), 2, 2)
-    assert not verdict.closed
-    assert verdict.witness == P(dual, "x")
-    assert verdict.witness_exponent == 1
-    assert is_frobenius_closed(R2.ideal([R2.ambient.one()]), 2, 2).closed
-
-
-def test_closure_search_past_the_enumeration_cap():
-    # four variables have 14 monomials of degree 1 or 2, and 2^14 > 4,096:
-    # the search tries single monomials, then two-monomial combinations
-    for q, witness in (("x^2", "x"), ("x^2+y^2", "x+y")):
-        R = make_ring(2, ("x", "y", "z", "w"), (q,))
-        verdict = is_frobenius_closed(R.ideal([]), 1, 2)
-        assert (verdict.closed, verdict.witness, verdict.witness_exponent) == (
-            False,
-            P(R, witness),
-            1,
-        )
