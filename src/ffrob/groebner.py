@@ -25,9 +25,11 @@ coefficient 0, and is skipped when popped; every term a reduction step
 adds is smaller than the one being reduced, so a monomial never comes
 back once popped.  Buchberger reduces each S-polynomial and input
 generator only until its leading term is irreducible, where `_divide`
-can stop, and leaves the tails to the final `_reduce_basis`.  S-pairs
-wait in a separate heap of (lcm degree, j, i, lcm), in the order of the
-normal strategy above.
+can stop, and leaves the tails to the final `_reduce_basis`.  The pair
+criteria read leads in the wide layout of `ffrob.poly`, a few int
+operations per lcm, degree or divisibility test.  S-pairs wait in a
+separate heap of (lcm degree, j, i, wide lcm), in the order of the
+normal strategy above, and an lcm is packed only when its pair is popped.
 Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
 `s_polynomial`, `buchberger`), which raise RingMismatchError unless
 their inputs share one ring, and unpacked on the way out, in canonical
@@ -44,9 +46,9 @@ sorts only the basis elements it keeps into the caller's ring.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, mul
+from operator import itemgetter
 
-from .poly import MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
+from .poly import _WIDE_MASK, MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
 
 
 def _head(terms, field) -> tuple:
@@ -197,27 +199,31 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
     are consumed in the order given, as heads (lm, tail) in descending
     order of lm."""
     p = field.p
-    guard, pack = pk.guard, pk.pack
+    wg, ws, wtop, narrow = pk.wguard, pk.wsum, pk.wtop, pk.narrow
     G = []  # every element as a head of `_divide`: monic, packed, tail unreduced
-    leads = []  # leads[k] is G[k]'s leading exponent tuple
+    leads = []  # leads[k] is G[k]'s lead in the wide layout
     basis = []  # the pair-forming set, as indices into G
     # normal strategy: smallest lcm degree first, ties by creation order,
     # which is (j, i) order: pairs (i, j) are made as G[j] joins
-    pairs = []  # (lcm degree, j, i, packed lcm)
+    pairs = []  # (lcm degree, j, i, wide lcm)
+
+    def lcm(a, b):  # a SWAR max: d is a - b in the fields where a >= b, which g marks
+        d = (a | wg) - b
+        g = d & wg
+        return b + (d & (g - (g >> 32)))
 
     def adjoin(rem):
         head = _head(rem, field)
-        lm = head[0]
-        lead = pk.unpack(lm)
+        lm = pk.wide(head[0])
         j = len(G)
         G.append(head)
-        leads.append(lead)
+        leads.append(lm)
         if basis:
-            cands = []  # (lcm degree, i, packed lcm) for each i of the pair-forming set
+            cands = []  # (lcm degree, i, wide lcm) for each i of the pair-forming set
             divided = False  # does lm divide a lead of the pair-forming set?
             for i in basis:
-                t = tuple(map(max, leads[i], lead))
-                cands.append((sum(t), i, pack(t)))
+                t = lcm(lm, leads[i])
+                cands.append((t * ws >> wtop & _WIDE_MASK, i, t))
                 if t == leads[i]:
                     divided = True
             if pairs:
@@ -226,29 +232,29 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
                 live = [
                     q
                     for q in pairs
-                    if (q[3] - lm) & guard
-                    or pack(map(max, leads[q[2]], lead)) == q[3]
-                    or pack(map(max, leads[q[1]], lead)) == q[3]
+                    if (q[3] - lm) & wg
+                    or lcm(lm, leads[q[2]]) == q[3]
+                    or lcm(lm, leads[q[1]]) == q[3]
                 ]
                 if len(live) < len(pairs):
                     pairs[:] = live
                     heapify(pairs)
             # M and F criteria: in ascending (degree, i), a candidate goes
-            # when a kept one's lcm divides its lcm; coprime leads are kept
-            # but need no S-polynomial
+            # when a kept one's lcm divides its lcm; coprime leads, whose lcm
+            # is their product, are kept but need no S-polynomial
             kept = []
-            for d, i, lcm in sorted(cands):
+            for d, i, t in sorted(cands):
                 for other in kept:
-                    if not (lcm - other) & guard:
+                    if not (t - other) & wg:
                         break
                 else:
-                    kept.append(lcm)
-                    if any(map(mul, leads[i], lead)):
-                        heappush(pairs, (d, j, i, lcm))
+                    kept.append(t)
+                    if t != lm + leads[i]:
+                        heappush(pairs, (d, j, i, t))
             # elements whose lead lm divides leave the pair-forming set;
             # they stay in G as reducers
             if divided:
-                basis[:] = [i for i in basis if (G[i][0] - lm) & guard]
+                basis[:] = [i for i in basis if (leads[i] - lm) & wg]
         basis.append(j)
 
     for work in works:
@@ -256,8 +262,8 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
         if rem:
             adjoin(rem)
     while pairs:
-        _, j, i, lcm = heappop(pairs)
-        rem = _divide(_spair(lcm, G[i], G[j], p, pk), G, p, pk, top=True)
+        _, j, i, t = heappop(pairs)
+        rem = _divide(_spair(narrow(t), G[i], G[j], p, pk), G, p, pk, top=True)
         if rem:
             adjoin(rem)
     return _reduce_basis([G[i] for i in basis], p, pk)

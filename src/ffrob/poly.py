@@ -22,6 +22,12 @@ its field, so a product's guard bits show whether an exponent reached
 2^32, which raises ExponentOverflowError.  The packed order is exact only
 below 2^32, so `_Packing.sort`, the one place a term list is put into
 canonical order, refuses any exponent at or past it.
+
+The Buchberger pair criteria read leads in a wide layout, defined on
+`_Packing`: one 48-bit field per variable, the guard bit at bit 32, and
+room above for fewer than 2^16 exponents to sum.  There the lcm is a
+field-wise max through the guard bits (SWAR), and a product with one 1
+per field sums the exponents into the top field: the degree.
 """
 
 from __future__ import annotations
@@ -97,12 +103,15 @@ class MonomialOrder:
 
 _FIELD = EXP_LIMIT.bit_length()  # an exponent below 2^32, then the guard bit
 _FIELD_MASK = (1 << _FIELD) - 1
+_WIDE = 48  # a wide field: _FIELD, then room to sum fewer than 2^16 exponents
+_WIDE_MASK = (1 << _WIDE) - 1
 
 
 class _Packing:
-    """The packed monomials of one monomial order on n variables."""
+    """The packed monomials of one monomial order on n variables, and the
+    wide layout of the same exponents."""
 
-    __slots__ = ("order", "units", "guard", "shifts")
+    __slots__ = ("order", "units", "guard", "shifts", "wshifts", "wguard", "wsum", "wtop")
 
     def __init__(self, order: MonomialOrder, n: int):
         self.order = order
@@ -121,12 +130,25 @@ class _Packing:
             + sum(1 << (base + width * (n - 1 - f)) for f, var in enumerate(fields) if i in var)
             for i in range(n)
         )
+        self.wshifts = range(0, n * _WIDE, _WIDE)
+        self.wguard = sum(1 << (s + _FIELD - 1) for s in self.wshifts)
+        # the top field of w * wsum, shifted down by wtop, is w's degree
+        self.wsum = sum(1 << s for s in self.wshifts)
+        self.wtop = _WIDE * max(n - 1, 0)
 
     def pack(self, exps) -> int:
         return sum(map(mul, exps, self.units))
 
     def unpack(self, m: int) -> tuple:
         return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
+
+    def wide(self, m: int) -> int:
+        """The packed monomial m in the wide layout."""
+        return sum([(m >> s & _FIELD_MASK) << t for s, t in zip(self.shifts, self.wshifts)])
+
+    def narrow(self, w: int) -> int:
+        """The packed monomial of w, given in the wide layout."""
+        return sum([(w >> t & _FIELD_MASK) * u for t, u in zip(self.wshifts, self.units)])
 
     def terms(self, terms) -> list:
         """The (exponent tuple, coefficient) terms, packed, in their order."""

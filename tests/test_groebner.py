@@ -598,6 +598,55 @@ def test_twelve_variables_at_the_exponent_budget():
     assert normal_form(top + power(2, 5), [xs[0] * xs[1]]) == power(2, 5)
 
 
+# x^(2^32 - 1 - e_1) y^(2^32 - 1 - e_2) z^(2^32 - 1 - e_3) for each (e_1, e_2, e_3):
+# every lcm of two of them has degree near 3 * 2^32, past 2^33
+EDGE_LEADS = [(0, 1, 2), (2, 0, 1), (1, 2, 0), (3, 1, 1)]
+
+
+@pytest.mark.parametrize("order", DIVISION_ORDERS, ids=repr)
+def test_pair_criteria_at_the_exponent_budget(order, monkeypatch):
+    ring = PolyRing(PrimeField(5), ("x", "y", "z", "w"), order)
+    pk = ring.packing
+    # m·w + c·m for each lead m: an S-polynomial is an lcm of two leads, a
+    # monomial, whose pairs with the binomials reduce to zero
+    monomials = [tuple(BUDGET - e for e in m) for m in EDGE_LEADS]
+    gens = [{m + (1,): 1, m + (0,): c} for c, m in enumerate(monomials, 1)]
+    pushed, calls = [], []
+    heappush, spair = groebner.heappush, groebner._spair
+
+    def recording_heappush(heap, item):
+        if type(item) is tuple:  # a pair, not a term of a division
+            d, j, i, lcm = item
+            pushed.append((3 * BUDGET - d, j, i, pk.unpack(pk.narrow(lcm))))
+        heappush(heap, item)
+
+    def recording_spair(lcm, a, b, p, pk):
+        calls.append((pk.unpack(lcm), pk.unpack(a[0]), pk.unpack(b[0])))
+        return spair(lcm, a, b, p, pk)
+
+    monkeypatch.setattr(groebner, "heappush", recording_heappush)
+    monkeypatch.setattr(groebner, "_spair", recording_spair)
+    gb = buchberger([ring.poly(g) for g in gens])
+    # each lcm is the largest exponent of its two leads, variable by variable
+    assert len(calls) == 9
+    for lcm, a, b in calls:
+        assert lcm == tuple(map(max, a, b))
+    # each pair (i, j) is queued with its lcm's degree, 3 * (2^32 - 1) - e
+    assert [(e, j, i) for e, j, i, _ in pushed] == [
+        (0, 1, 0), (0, 2, 0), (0, 2, 1), (2, 3, 1), (1, 3, 0), (1, 3, 2),
+        (2, 4, 3), (1, 5, 0), (1, 5, 4), (1, 6, 2), (1, 6, 4), (1, 6, 5),
+    ]
+    for e, _, _, lcm in pushed:
+        assert sum(lcm) == 3 * BUDGET - e
+    # the criteria's divisibility tests at the edge decide the basis
+    assert [dict(g.terms) for g in gb] == reference_groebner(gens, 5, order)
+    # y^(2^32 - 1) in the tail of x^(2^32 - 1) y^(2^32 - 2) z^(2^32 - 3) w, times
+    # the cofactor y*z of its pair with the second generator, passes the budget
+    gens[0][(0, BUDGET, 0, 0)] = 1
+    with pytest.raises(ExponentOverflowError, match=r"^exponent 4294967296 exceeds 2\^32$"):
+        buchberger([ring.poly(g) for g in gens])
+
+
 # --- a pinned run of the frobenius-highp kernel ---------------------------
 
 # sha256 of the reduced bases of every Buchberger run that is_reduced and
@@ -663,3 +712,61 @@ def test_highp_pair_census_is_pinned(monkeypatch):
     assert is_reduced(R) is True
     assert fedder_is_fpure(R) is False
     assert len(calls) == 319
+
+
+def _f5_quotient(*gens):
+    field = PrimeField(5)
+    names = ("x", "y", "z", "w")
+    S = PolyRing(field, names)
+    return QuotientRing(field, names, [parse_polynomial(t, S) for t in gens])
+
+
+HIGHP = ("x*y - z*w", "x^2 - y*w")
+TWISTED_CUBIC = ("x*z - y^2", "x*w - y*z", "y*w - z^2")
+
+
+def test_a_packed_lcm_is_built_only_for_a_popped_pair(monkeypatch):
+    # pairs wait with their lcms in the wide layout; the census ring's 319
+    # S-polynomials are the only lcms narrowed to packed monomials
+    R = _f5_quotient(*HIGHP)
+    narrowed, calls = [], []
+    narrow, spair = poly._Packing.narrow, groebner._spair
+
+    def counting_narrow(pk, w):
+        narrowed.append(w)
+        return narrow(pk, w)
+
+    def counting_spair(*args):
+        calls.append(args[0])
+        return spair(*args)
+
+    monkeypatch.setattr(poly._Packing, "narrow", counting_narrow)
+    monkeypatch.setattr(groebner, "_spair", counting_spair)
+    assert is_reduced(R) is True
+    assert fedder_is_fpure(R) is False
+    assert len(narrowed) == len(calls) == 319
+
+
+# sha256 of every `_spair` call that is_reduced and fedder_is_fpure make on
+# the p = 5 ring of the census above and on the twisted cubic
+# F_5[x,y,z,w]/(xz - y^2, xw - yz, yw - z^2), in call order, each call as
+# the exponent tuples of (lcm, lead a, lead b); recorded with the pair
+# handling on exponent tuples that the wide lcms replaced
+PAIR_SEQUENCE_SHA256 = "6749774876e535a5338a3f545b12fd4c83da952ef96fb3b0cefa0882da2ca7ea"
+
+
+def test_pair_order_is_pinned(monkeypatch):
+    highp, cubic = _f5_quotient(*HIGHP), _f5_quotient(*TWISTED_CUBIC)
+    calls = []
+    spair = groebner._spair
+
+    def recording_spair(lcm, a, b, p, pk):
+        calls.append((pk.unpack(lcm), pk.unpack(a[0]), pk.unpack(b[0])))
+        return spair(lcm, a, b, p, pk)
+
+    monkeypatch.setattr(groebner, "_spair", recording_spair)
+    assert (is_reduced(highp), fedder_is_fpure(highp)) == (True, False)
+    assert len(calls) == 319
+    assert (is_reduced(cubic), fedder_is_fpure(cubic)) == (True, True)
+    assert len(calls) == 613
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == PAIR_SEQUENCE_SHA256
