@@ -22,8 +22,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import add
 
-from .frobenius import bracket_power, is_reduced
+from .frobenius import _is_complete_intersection, bracket_power, is_reduced
+from .groebner import poly_divexact
 from .ideals import Ideal, QuotientRing, _divide_out
 from .poly import Polynomial, _check_rings, monomial_pool
 
@@ -180,13 +182,41 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
 
 def fedder_is_fpure(ring: QuotientRing) -> bool:
     """Fedder's criterion at the origin: S/Q is F-pure there iff
-    (Q^[p] : Q) is not contained in m^[p], m = (all variables)."""
+    (Q^[p] : Q) is not contained in m^[p], m = (all variables).
+
+    On a complete intersection Q = (f_1, ..., f_c) whose generators all
+    vanish at the origin, (Q^[p] : Q) = Q^[p] + ((f_1⋯f_c)^(p-1)) there
+    (Fedder 1983, section 2), and Q^[p] ⊆ m^[p]: R is F-pure iff
+    (f_1⋯f_c)^(p-1) has a term with every exponent below p.  Any other
+    ring decides the containment, a colon by Q and one basis of m^[p]."""
     if ring.is_polynomial_ring:
         return True
     Q = ring.defining_ideal()
+    # a generator vanishes at the origin when its smallest term is not constant
+    if _is_complete_intersection(Q) and all(any(f.terms[-1][0]) for f in Q.gens):
+        return bool(_box_power(Q.gens, ring.field.p))
     colon = bracket_power(Q, 1).colon_ideal(Q)
     m_p = ring.cover().ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
     return not colon <= m_p
+
+
+def _box_power(gens, p: int) -> dict:
+    """The terms of (f_1⋯f_c)^(p-1) with every exponent below p, as
+    {monomial: coefficient}.  Each f^(p-1) is f^[p] / f, an exact division,
+    since f^p = f^[p] in characteristic p.  A product's exponents only
+    grow, so a term past the box, of a factor or of a partial product,
+    is dropped as soon as it appears."""
+    acc = {(0,) * gens[0].ring.nvars: 1}
+    for f in gens:
+        power = [(m, c) for m, c in poly_divexact(f.frobenius_power(1), f).terms if max(m) < p]
+        nxt = {}
+        for m, c in acc.items():
+            for fm, fc in power:
+                t = tuple(map(add, m, fm))
+                if max(t) < p:
+                    nxt[t] = (nxt.get(t, 0) + c * fc) % p
+        acc = {m: c for m, c in nxt.items() if c}
+    return acc
 
 
 def jacobian_regularity_oracle(ring: QuotientRing) -> str:

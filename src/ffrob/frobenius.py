@@ -3,10 +3,20 @@
 Bracket powers, Frobenius roots in polynomial rings, preimages under the
 Frobenius endomorphism (hence an exact characteristic-p nilradical and a
 reducedness test).
+
+A complete intersection (CI), Q generated by c elements in codimension
+c, is decided from its equations instead.  `_is_complete_intersection`
+reads the codimension off the leading monomials of Q's reduced basis,
+which the ring computes when it is built.  On a CI, `is_reduced` counts
+dimensions by the Jacobian criterion (Matsumura, Thm 23.8: reduced is R0
+plus S1, and a CI is Cohen-Macaulay), and `checks.fedder_is_fpure` scans
+one product (Fedder 1983, section 2); neither runs an elimination.
+Every other ring keeps the eliminations.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import UnsupportedOperationError
@@ -100,9 +110,59 @@ def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:
     return NilradicalResult(lifted, steps, ring.field.p**steps)
 
 
+def _covered(basis, k: int) -> bool:
+    """Does some set of k variables (all of them, if k exceeds their
+    number) meet every leading monomial of the nonempty basis?  Exactly
+    when the ideal, not the unit ideal, has codimension at most k: dim S/I
+    is dim S/LT(I), n minus the fewest variables that meet every leading
+    monomial (Cox, Little & O'Shea, section 9.3)."""
+    leads = [g.leading_monomial for g in basis]
+    n = basis[0].ring.nvars
+    return any(
+        all(any(m[i] for i in chosen) for m in leads)
+        for chosen in itertools.combinations(range(n), min(k, n))
+    )
+
+
+def _is_complete_intersection(Q: Ideal) -> bool:
+    """Is Q, presented by c nonzero generators, of codimension c?  Krull
+    bounds the codimension by c, so it is c exactly when no c - 1
+    variables meet every leading monomial of Q's basis.  Q = 0 is one,
+    with c = 0."""
+    return not Q.gens or not _covered(Q.groebner, len(Q.gens) - 1)
+
+
+def _det(rows, cols):
+    """The determinant of the square matrix of polynomials that the
+    columns cols of rows make, by Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    det = rows[0][0].ring.zero()
+    for k, j in enumerate(cols):
+        if not rows[0][j].is_zero:
+            term = rows[0][j] * _det(rows[1:], cols[:k] + cols[k + 1 :])
+            det = det - term if k % 2 else det + term
+    return det
+
+
 def is_reduced(ring: QuotientRing) -> bool:
-    """True iff R has no nonzero nilpotents, i.e. φ^-1(Q) ⊆ Q (Q ⊆ φ^-1(Q) always)."""
+    """True iff R has no nonzero nilpotents.  A polynomial ring is reduced.
+
+    On a complete intersection Q = (f_1, ..., f_c), R is reduced iff it
+    satisfies R0 and S1 (Matsumura, Thm 23.8).  R is Cohen-Macaulay, so
+    S1 holds, and Q is unmixed; over the perfect field F_p the Jacobian
+    criterion then makes R0 the claim that the c×c minors I_c of
+    (∂f_i/∂x_j) lie in no minimal prime of Q, i.e. that
+    dim S/(Q + I_c) < dim S/Q = n - c.  Any other ring is reduced iff
+    φ^-1(Q) ⊆ Q (Q ⊆ φ^-1(Q) always), one kernel-preimage elimination."""
+    if ring.is_polynomial_ring:
+        return True
     J = ring.defining_ideal()
+    if _is_complete_intersection(J):
+        c, n = len(J.gens), ring.ambient.nvars
+        jac = [[f.derivative(i) for i in range(n)] for f in J.gens]
+        minors = [_det(jac, cols) for cols in itertools.combinations(range(n), c)]
+        return not _covered((J + J.ring.ideal(minors)).groebner, c)
     return frobenius_kernel_preimage(J) <= J
 
 

@@ -272,11 +272,12 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
 def _reduce_basis(G, p: int, pk: _Packing) -> list:
     """Tail-reduce the heads of a minimal Groebner basis into the reduced
     basis, as heads in descending order of their leads."""
-    # each tail is reduced against the rest, smaller leads first; no other
-    # lead divides its lead, so the order changes no result
+    # each tail is reduced against the elements of smaller lead, in
+    # ascending order: a larger lead cannot divide a term below lm, and no
+    # other lead divides lm, so the order changes no result
     kept = sorted(G, key=itemgetter(0))
     for i, (lm, tail) in enumerate(kept):
-        kept[i] = (lm, _divide(dict(tail), kept[:i] + kept[i + 1 :], p, pk))
+        kept[i] = (lm, _divide(dict(tail), kept[:i], p, pk))
     kept.sort(key=itemgetter(0), reverse=True)
     return kept
 

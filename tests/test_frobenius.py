@@ -1,19 +1,27 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ffrob import (
+    FFrobError,
+    PolyRing,
     PrimeField,
     QuotientRing,
     UnsupportedOperationError,
     bracket_power,
+    fedder_is_fpure,
+    frobenius,
     frobenius_closure_test,
     frobenius_kernel_preimage,
     frobenius_root,
+    groebner,
     is_reduced,
     nilradical_char_p,
     parse_polynomial,
 )
+from ffrob.frobenius import _is_complete_intersection
 
 from oracles import mono_ideal_subset, monomial_antichains
 
@@ -204,3 +212,170 @@ def test_frobenius_closure_monotone_and_shortcut(dual):
         assert bracket_power(Z, ee).contains(x.frobenius_power(ee))
 
 
+# --- complete intersections, decided from their equations -----------------
+
+
+def general_answers(R):
+    """is_reduced and fedder_is_fpure by their general containments,
+    φ^-1(Q) ⊆ Q and (Q^[p] : Q) ⊄ m^[p]."""
+    Q = R.defining_ideal()
+    reduced = frobenius_kernel_preimage(Q) <= Q
+    m_p = Q.ring.ideal([v.frobenius_power(1) for v in R.ambient.variables()])
+    return reduced, not bracket_power(Q, 1).colon_ideal(Q) <= m_p
+
+
+def _record_eliminations(mp):
+    """Count every elimination from here on: the kernel preimage's own, and
+    the intersections' under the Fedder colon."""
+    calls = []
+    eliminate = groebner._eliminate
+
+    def counting(*args):
+        calls.append(args)
+        return eliminate(*args)
+
+    mp.setattr(groebner, "_eliminate", counting)
+    mp.setattr(frobenius, "_eliminate", counting)
+    return calls
+
+
+XYZW = ("x", "y", "z", "w")
+
+
+@pytest.mark.parametrize(
+    "p,names,gens,ci",
+    [
+        (5, XYZW, ("x*y - z*w", "x^2 - y*w"), True),
+        (5, XYZW, ("x*z - y^2", "x*w - y*z", "y*w - z^2"), False),  # codim 2
+        (5, ("a", "b", "c", "d", "e", "f"), ("a*e - b*d", "a*f - c*d", "b*f - c*e"), False),
+        (5, ("x", "y", "z"), ("x^2 - x", "x*y"), False),  # codim 1
+        (5, ("x", "y", "z"), ("x^2",), True),
+        (5, ("x", "y", "z"), ("(x+y)^2", "z"), True),
+        (5, ("x", "y", "z"), (), True),
+    ],
+    ids=["highp", "twisted-cubic", "2x3-minors", "plane-and-line", "x^2", "(x+y)^2,z", "zero"],
+)
+def test_complete_intersection_on_named_rings(p, names, gens, ci):
+    Q = make_ring(p, names, gens).defining_ideal()
+    assert len(Q.gens) == len(gens)
+    assert _is_complete_intersection(Q) is ci
+
+
+def test_a_complete_intersection_runs_no_elimination(monkeypatch, cusp, dual):
+    def refuse(*args):
+        raise AssertionError("eliminated on a complete intersection")
+
+    monkeypatch.setattr(groebner, "_eliminate", refuse)
+    monkeypatch.setattr(frobenius, "_eliminate", refuse)
+    rings = [
+        (make_ring(5, XYZW, ("x*y - z*w", "x^2 - y*w")), (True, False)),
+        (make_ring(5, ("x", "y", "z"), ("x^2",)), (False, False)),
+        (make_ring(5, ("x", "y", "z"), ("(x+y)^2", "z")), (False, False)),
+        (make_ring(2, ("x", "y"), ("x*y",)), (True, True)),
+        (cusp, (True, False)),
+        (dual, (False, False)),
+        (R2, (True, True)),
+    ]
+    for R, answers in rings:
+        assert (is_reduced(R), fedder_is_fpure(R)) == answers, R
+
+
+def test_fedder_on_the_fermat_cubic_follows_p_mod_3(monkeypatch):
+    # (x^3 + y^3 + z^3)^(p-1) has a term with every exponent below p only
+    # at x^(p-1) y^(p-1) z^(p-1), whose multinomial coefficient is a unit:
+    # the cone over the Fermat cubic is F-pure exactly when p ≡ 1 mod 3
+    calls = _record_eliminations(monkeypatch)
+    for p in (2, 3, 5, 7, 11, 13, 31, 37, 101, 103):
+        R = make_ring(p, ("x", "y", "z"), ("x^3 + y^3 + z^3",))
+        assert fedder_is_fpure(R) is (p % 3 == 1), p
+    assert not calls
+
+
+def test_rings_that_are_not_complete_intersections_take_the_general_path():
+    # (x^2 - x, xy) is a plane and a disjoint line: reduced, and regular at
+    # the origin, where only the plane passes.  The ideal of its two
+    # generators has codimension 1, and on them the shortcuts would answer
+    # (False, False): the 2x2 minors vanish on the plane, and every term of
+    # ((x^2 - x)xy)^4 has x^8.
+    for names, gens in (
+        (("x", "y", "z"), ("x^2 - x", "x*y")),
+        (XYZW, ("x*z - y^2", "x*w - y*z", "y*w - z^2")),
+    ):
+        R = make_ring(5, names, gens)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_eliminations(mp)
+            assert (is_reduced(R), fedder_is_fpure(R)) == (True, True)
+        assert calls
+    # a generator with a constant term: the origin is off the ring's zeros,
+    # so Fedder keeps its colon, though Q = (x - 1, y) is a complete intersection
+    R = make_ring(5, ("x", "y"), ("x - 1", "y"))
+    assert _is_complete_intersection(R.defining_ideal())
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_eliminations(mp)
+        assert is_reduced(R) and not calls
+        fpure = fedder_is_fpure(R)
+        assert calls
+    assert fpure == general_answers(R)[1]
+
+
+def test_a_ci_that_the_kernel_preimage_did_not_finish():
+    # is_reduced took more than a minute on the kernel preimage of this ring
+    R = make_ring(
+        3,
+        ("x", "y", "z"),
+        (
+            "2*x^2*y^2*z^2 + x^2*y*z^2 + x*z^2",
+            "x^4*z^4 + 2*x^3*y*z^3 + x^2*y^2*z^2 + x^2*y*z^2 + x*y^2*z + y^2",
+        ),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_eliminations(mp)
+        assert (is_reduced(R), fedder_is_fpure(R)) == (False, False)
+    assert not calls
+    # a certificate that shares nothing with the dimension count: h is a
+    # nonzero nilpotent of R
+    h = P(R, "x*z*(2*x*y^2 + x*y + 1)")
+    Q = R.defining_ideal()
+    assert not Q.contains(h) and Q.contains(h * h)
+
+
+@st.composite
+def _small_quotients(draw):
+    """F_p[x..] / (up to 3 generators of degree at most 2 and at most 2
+    terms), the first one often the square of a linear form, so that many
+    draws are not reduced."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    S = PolyRing(PrimeField(p), XYZW[:n])
+    monos = [m for m in itertools.product(range(3), repeat=n) if sum(m) <= 2]
+
+    def poly(pool):
+        terms = st.dictionaries(st.sampled_from(pool), st.integers(1, p - 1), min_size=1, max_size=2)
+        return S.poly(draw(terms))
+
+    gens = [poly(monos) for _ in range(draw(st.integers(1, min(3, n))))]
+    if draw(st.booleans()):
+        linear = poly([m for m in monos if sum(m) == 1])
+        gens[0] = linear * linear
+    return S, gens
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_small_quotients())
+def test_complete_intersections_agree_with_the_general_paths(drawn):
+    S, gens = drawn
+    try:
+        R = QuotientRing(S.field, S.names, gens)
+    except FFrobError:  # the unit ideal
+        assume(False)
+    Q = R.defining_ideal()
+    ci = _is_complete_intersection(Q)
+    at_origin = all(any(f.terms[-1][0]) for f in Q.gens)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_eliminations(mp)
+        reduced = is_reduced(R)
+        assert bool(calls) is not ci
+        calls.clear()
+        fpure = fedder_is_fpure(R)
+        assert bool(calls) is not (ci and at_origin)
+    assert (reduced, fpure) == general_answers(R)
