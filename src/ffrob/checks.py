@@ -334,7 +334,15 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
 
     A FAIL certifies the identity failure outright, and non-regularity
     when the ring is reduced; finding nothing is reported as exactly
-    that, never as a regularity proof."""
+    that, never as a regularity proof.  Raises ValueError before any work
+    for an e_list that is empty or holds an e < 1, or if no check would run."""
+    # a huge range is never walked: its least element is one of its ends
+    e_list = e_list if isinstance(e_list, range) else tuple(e_list)
+    ends = (*e_list[:1], *e_list[-1:]) if isinstance(e_list, range) else e_list
+    if min(ends, default=0) < 1:
+        raise ValueError(f"the probe needs Frobenius exponents e >= 1, got {e_list!r}")
+    if not (ring.ambient.nvars or config.count):  # no structured inputs and no trials
+        raise ValueError("the probe would run no check: the ring has no variables and count is 0")
     reduced = is_reduced(ring)
     note = "" if reduced else (
         "ring is not reduced: intersection-type identities may pass on "

@@ -26,10 +26,10 @@ adds is smaller than the one being reduced, so a monomial never comes
 back once popped.  Buchberger reduces each S-polynomial and input
 generator only until its leading term is irreducible, where `_divide`
 can stop, and leaves the tails to the final `_reduce_basis`.  The pair
-criteria read leads in the wide layout of `ffrob.poly`, a few int
-operations per lcm, degree or divisibility test.  S-pairs wait in a
-separate heap of (lcm degree, j, i, wide lcm), in the order of the
-normal strategy above, and an lcm is packed only when its pair is popped.
+criteria read leads with their keys stripped (`_Packing.mask`), a few
+int operations per lcm, degree or divisibility test.  S-pairs wait in a
+separate heap of (lcm degree, j, i, lcm), in the order of the normal
+strategy above, and an lcm is re-keyed only when its pair is popped.
 Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
 `s_polynomial`, `buchberger`), which raise RingMismatchError unless
 their inputs share one ring, and unpacked on the way out, in canonical
@@ -48,7 +48,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .poly import _WIDE_MASK, MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
+from .poly import _FIELD_MASK, MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
 
 
 def _head(terms, field) -> tuple:
@@ -199,31 +199,31 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
     are consumed in the order given, as heads (lm, tail) in descending
     order of lm."""
     p = field.p
-    wg, ws, wtop, narrow = pk.wguard, pk.wsum, pk.wtop, pk.narrow
+    guard, mask, ws, wtop, narrow = pk.guard, pk.mask, pk.wsum, pk.wtop, pk.narrow
     G = []  # every element as a head of `_divide`: monic, packed, tail unreduced
-    leads = []  # leads[k] is G[k]'s lead in the wide layout
+    leads = []  # leads[k] is G[k]'s lead with its key stripped, as the criteria read it
     basis = []  # the pair-forming set, as indices into G
     # normal strategy: smallest lcm degree first, ties by creation order,
     # which is (j, i) order: pairs (i, j) are made as G[j] joins
-    pairs = []  # (lcm degree, j, i, wide lcm)
+    pairs = []  # (lcm degree, j, i, lcm), the lcm of two leads of `leads`
 
     def lcm(a, b):  # a SWAR max: d is a - b in the fields where a >= b, which g marks
-        d = (a | wg) - b
-        g = d & wg
+        d = (a | guard) - b
+        g = d & guard
         return b + (d & (g - (g >> 32)))
 
     def adjoin(rem):
         head = _head(rem, field)
-        lm = pk.wide(head[0])
+        lm = head[0] & mask
         j = len(G)
         G.append(head)
         leads.append(lm)
         if basis:
-            cands = []  # (lcm degree, i, wide lcm) for each i of the pair-forming set
+            cands = []  # (lcm degree, i, lcm) for each i of the pair-forming set
             divided = False  # does lm divide a lead of the pair-forming set?
             for i in basis:
                 t = lcm(lm, leads[i])
-                cands.append((t * ws >> wtop & _WIDE_MASK, i, t))
+                cands.append((t * ws >> wtop & _FIELD_MASK, i, t))
                 if t == leads[i]:
                     divided = True
             if pairs:
@@ -232,7 +232,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
                 live = [
                     q
                     for q in pairs
-                    if (q[3] - lm) & wg
+                    if (q[3] - lm) & guard
                     or lcm(lm, leads[q[2]]) == q[3]
                     or lcm(lm, leads[q[1]]) == q[3]
                 ]
@@ -245,7 +245,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
             kept = []
             for d, i, t in sorted(cands):
                 for other in kept:
-                    if not (t - other) & wg:
+                    if not (t - other) & guard:
                         break
                 else:
                     kept.append(t)
@@ -254,7 +254,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
             # elements whose lead lm divides leave the pair-forming set;
             # they stay in G as reducers
             if divided:
-                basis[:] = [i for i in basis if (leads[i] - lm) & wg]
+                basis[:] = [i for i in basis if (leads[i] - lm) & guard]
         basis.append(j)
 
     for work in works:

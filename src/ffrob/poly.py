@@ -8,26 +8,25 @@ are equal exactly when their term tuples are identical.
 
 Each monomial order is defined once, by its packing (Monagan & Pearce
 2007, packed exponent vectors): a monomial packs into one Python int.
-The low bits hold the exponents, one 33-bit field per variable: 32 bits
-for an exponent below 2^32, and a guard bit on top.  The high bits hold
-the order key, a linear function of the exponents with one field per
-variable, most significant first: x_1..x_n for lex; for grevlex the
-degree, then the prefix sums x_1+...+x_{n-1}, x_1+...+x_{n-2}, ..., x_1;
-for block(k) x_1..x_k, then grevlex on the rest.  Each key field is wide
-enough for n * (2^32 - 1).  Both parts are linear, so a product of
-monomials is one addition, comparing two packed monomials compares them
-in the order, and lm divides m exactly when m - lm has no guard bit set;
-m - lm is then the cofactor.  A sum of two exponents below 2^32 fits in
-its field, so a product's guard bits show whether an exponent reached
-2^32, which raises ExponentOverflowError.  The packed order is exact only
-below 2^32, so `_Packing.sort`, the one place a term list is put into
-canonical order, refuses any exponent at or past it.
-
-The Buchberger pair criteria read leads in a wide layout, defined on
-`_Packing`: one 48-bit field per variable, the guard bit at bit 32, and
-room above for fewer than 2^16 exponents to sum.  There the lcm is a
-field-wise max through the guard bits (SWAR), and a product with one 1
-per field sums the exponents into the top field: the degree.
+The low bits hold the exponents, one 48-bit field per variable: an
+exponent below 2^32, the guard bit at bit 32, and room above it to sum
+fewer than 2^16 exponents.  The high bits hold the order key, a linear
+function of the exponents with one field per variable, most significant
+first: x_1..x_n for lex; for grevlex the degree, then the prefix sums
+x_1+...+x_{n-1}, x_1+...+x_{n-2}, ..., x_1; for block(k) x_1..x_k, then
+grevlex on the rest.  Each key field is wide enough for n * (2^32 - 1).
+Both parts are linear, so a product of monomials is one addition,
+comparing two packed monomials compares them in the order, and lm
+divides m exactly when m - lm has no guard bit set (a field with
+m_i < lm_i borrows, which sets bits 32-47); m - lm is then the cofactor.
+A sum of two exponents below 2^32 sets its field's guard bit exactly
+when it reaches 2^32, so a product's guard bits show an overflow, which
+raises ExponentOverflowError.  The packed order is exact only below
+2^32, so `_Packing.sort`, the one place a term list is put into
+canonical order, refuses any exponent at or past it.  Buchberger's pair
+criteria read a lead m as `m & _Packing.mask`, its key stripped: there
+the lcm is a field-wise max through the guard bits (SWAR), and a product
+with one 1 per field sums the exponents into the top field: the degree.
 """
 
 from __future__ import annotations
@@ -101,17 +100,14 @@ class MonomialOrder:
         return self.kind
 
 
-_FIELD = EXP_LIMIT.bit_length()  # an exponent below 2^32, then the guard bit
+_FIELD = 48  # an exponent below 2^32, the guard bit, room to sum < 2^16 exponents
 _FIELD_MASK = (1 << _FIELD) - 1
-_WIDE = 48  # a wide field: _FIELD, then room to sum fewer than 2^16 exponents
-_WIDE_MASK = (1 << _WIDE) - 1
 
 
 class _Packing:
-    """The packed monomials of one monomial order on n variables, and the
-    wide layout of the same exponents."""
+    """The packed monomials of one monomial order on n variables."""
 
-    __slots__ = ("order", "units", "guard", "shifts", "wshifts", "wguard", "wsum", "wtop")
+    __slots__ = ("order", "units", "guard", "shifts", "mask", "wsum", "wtop")
 
     def __init__(self, order: MonomialOrder, n: int):
         self.order = order
@@ -123,18 +119,17 @@ class _Packing:
         base = n * _FIELD
         width = (n * (EXP_LIMIT - 1)).bit_length()
         self.shifts = range(0, base, _FIELD)
-        self.guard = sum(1 << (s + _FIELD - 1) for s in self.shifts)
+        self.guard = sum(EXP_LIMIT << s for s in self.shifts)
+        self.mask = (1 << base) - 1
         # units[i] is x_i packed; packing is linear, so it is all we need
         self.units = tuple(
             (1 << self.shifts[i])
             + sum(1 << (base + width * (n - 1 - f)) for f, var in enumerate(fields) if i in var)
             for i in range(n)
         )
-        self.wshifts = range(0, n * _WIDE, _WIDE)
-        self.wguard = sum(1 << (s + _FIELD - 1) for s in self.wshifts)
-        # the top field of w * wsum, shifted down by wtop, is w's degree
-        self.wsum = sum(1 << s for s in self.wshifts)
-        self.wtop = _WIDE * max(n - 1, 0)
+        # the top field of (m & mask) * wsum, shifted down by wtop, is m's degree
+        self.wsum = sum(1 << s for s in self.shifts)
+        self.wtop = _FIELD * max(n - 1, 0)
 
     def pack(self, exps) -> int:
         return sum(map(mul, exps, self.units))
@@ -142,13 +137,9 @@ class _Packing:
     def unpack(self, m: int) -> tuple:
         return tuple(map(_FIELD_MASK.__and__, map(m.__rshift__, self.shifts)))
 
-    def wide(self, m: int) -> int:
-        """The packed monomial m in the wide layout."""
-        return sum([(m >> s & _FIELD_MASK) << t for s, t in zip(self.shifts, self.wshifts)])
-
     def narrow(self, w: int) -> int:
-        """The packed monomial of w, given in the wide layout."""
-        return sum([(w >> t & _FIELD_MASK) * u for t, u in zip(self.wshifts, self.units)])
+        """Re-key a packed monomial whose key was stripped: the m of w = m & mask."""
+        return sum([(w >> s & _FIELD_MASK) * u for s, u in zip(self.shifts, self.units)])
 
     def terms(self, terms) -> list:
         """The (exponent tuple, coefficient) terms, packed, in their order."""

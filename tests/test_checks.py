@@ -47,7 +47,7 @@ from ffrob.checks import (
     _SIDES,
     _structured_inputs,
 )
-from ffrob import groebner
+from ffrob import checks, groebner
 from ffrob.poly import monomial_pool
 
 from oracles import CuspSemigroup
@@ -510,6 +510,46 @@ def test_probe_sharing_changes_no_answer(name, seed, count, max_degree, e_list):
     assert report.to_dict() == expected.to_dict()
     if failure is not None:
         assert reverify_witness(report.first_failure, ring)
+
+
+@pytest.mark.parametrize("e_list", [(), (0,), (1, 0), (-1, 1), range(0, 3)], ids=repr)
+def test_probe_refuses_exponents_below_one_before_any_work(e_list, monkeypatch):
+    # an empty e_list would run no check; is_reduced is the probe's first
+    # piece of work
+    calls = []
+    monkeypatch.setattr(checks, "is_reduced", calls.append)
+    with pytest.raises(ValueError, match="e >= 1"):
+        regularity_probe(QuotientRing(PrimeField(2), ("x", "y")), SamplerConfig(count=3), e_list)
+    assert calls == []
+
+
+def test_a_probe_that_would_run_no_check_raises_before_any_work(monkeypatch):
+    # no variables means no structured inputs, and count 0 means no trials
+    ring = QuotientRing(PrimeField(2), ())
+    calls = []
+    monkeypatch.setattr(checks, "is_reduced", calls.append)
+    with pytest.raises(ValueError, match="would run no check"):
+        regularity_probe(ring, SamplerConfig(count=0))
+    assert calls == []
+    monkeypatch.undo()
+    # one trial is one check: its sampled element is a constant
+    report = regularity_probe(ring, SamplerConfig(count=1))
+    assert (report.verdict, report.trials, report.structured_checks) == (NO_WITNESS_FOUND, 1, 0)
+
+
+def test_a_one_shot_e_list_serves_every_trial(monkeypatch):
+    # F_2[x] has two structured (I, x) inputs and here two trials, each
+    # checked at every e of e_list, even when e_list can be iterated once
+    seen = []
+    element_checks = checks._element_checks
+
+    def recording(I, x, e):
+        seen.append(e)
+        return element_checks(I, x, e)
+
+    monkeypatch.setattr(checks, "_element_checks", recording)
+    report = regularity_probe(QuotientRing(PrimeField(2), ("x",)), SamplerConfig(count=2), iter((1,)))
+    assert (report.verdict, seen) == (NO_WITNESS_FOUND, [1] * 4)
 
 
 def _load_tracer():

@@ -580,6 +580,34 @@ def test_packed_key_fields_hold_their_largest_sums(n):
         assert ranked == sorted(monomials, key=lambda m: order_key(order, m), reverse=True)
 
 
+_LAYOUT_EXPONENTS = (0, 1, 2, 3, BUDGET - 1, BUDGET)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_pair_criteria_read_a_packed_monomial_with_its_key_stripped(n):
+    # every value at every position: the six values rotated through the
+    # fields, and each value in all of them; copies of the rotations with
+    # the small exponents raised, or the last exponent 0, give pairs that
+    # divide and pairs that fail in a single field
+    k = len(_LAYOUT_EXPONENTS)
+    rotations = [tuple(_LAYOUT_EXPONENTS[(i + r) % k] for i in range(n)) for r in range(k)]
+    monomials = rotations + [(e,) * n for e in _LAYOUT_EXPONENTS]
+    monomials += [tuple(e + 1 if e < 3 else e for e in m) for m in rotations]
+    monomials += [m[:-1] + (0,) for m in rotations]
+    for order in _orders(n):
+        pk = poly._packing(order, n)
+        stripped = []
+        for e in monomials:
+            m = pk.pack(e)
+            w = m & pk.mask
+            assert pk.unpack(w) == e
+            assert pk.narrow(w) == m
+            assert w * pk.wsum >> pk.wtop & poly._FIELD_MASK == sum(e)
+            stripped.append(w)
+        for (a, wa), (b, wb) in itertools.product(zip(monomials, stripped), repeat=2):
+            assert (not (wb - wa) & pk.guard) == all(x <= y for x, y in zip(a, b))
+
+
 # --- edge rings ------------------------------------------------------------
 
 

@@ -73,6 +73,36 @@ def test_every_exported_name_is_used_in_the_package():
     }
 
 
+def test_every_private_constant_and_slot_is_read():
+    # a private module-level name or a __slots__ entry that nothing in the
+    # package reads is left over from code that is gone
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(_PACKAGE.glob("*.py"))]
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    constants = [
+        t.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name) and t.id.startswith("_") and not t.id.startswith("__")
+    ]
+    slots = [
+        slot
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+        for slot in ast.literal_eval(node.value)
+    ]
+    assert constants and slots
+    assert [name for name in constants + slots if name not in read] == []
+
+
 def test_only_ideal_assigns_its_basis_cache():
     # one canonical-form cache: `_gb` is written only by Ideal's own methods
     writes = []  # (where, whether inside class Ideal)
