@@ -16,21 +16,22 @@ the order.
 
 One division loop, `_divide`, serves Buchberger's S-polynomial and
 generator reductions, the tail reduction of the final basis, the public
-`normal_form`, and `poly_divmod`, which runs it over one divisor and has
-it record each reduction step's cofactor: the quotient.  Every divisor
-is made monic by one helper, `_head`.  The loop keeps its working terms
-in a heap of negated packed monomials, largest first (Johnson 1974;
-Monagan & Pearce 2011).  A term that cancels keeps its heap entry, with
-coefficient 0, and is skipped when popped; every term a reduction step
-adds is smaller than the one being reduced, so a monomial never comes
-back once popped.  Buchberger reduces each S-polynomial and input
-generator only until its leading term is irreducible, where `_divide`
-can stop, and leaves the tails to the final `_reduce_basis`.  The pair
+`normal_form`, and `poly_divexact`, which runs it over one divisor, has
+it record each reduction step's cofactor, the quotient, and refuses a
+nonzero remainder without unpacking it.  Every divisor is made monic by
+one helper, `_head`.  The loop keeps its working terms in a heap of
+negated packed monomials, largest first (Johnson 1974; Monagan & Pearce
+2011).  A term that cancels keeps its heap entry, with coefficient 0,
+and is skipped when popped; every term a reduction step adds is smaller
+than the one being reduced, so a monomial never comes back once popped.
+Buchberger reduces each S-polynomial and input generator only until its
+leading term is irreducible, where `_divide` can stop, and leaves the
+tails to the final `_reduce_basis`.  The pair
 criteria read leads with their keys stripped (`_Packing.mask`), a few
 int operations per lcm, degree or divisibility test.  S-pairs wait in a
 separate heap of (lcm degree, j, i, lcm), in the order of the normal
 strategy above, and an lcm is re-keyed only when its pair is popped.
-Polynomials are packed on the way in (`normal_form`, `poly_divmod`,
+Polynomials are packed on the way in (`normal_form`, `poly_divexact`,
 `s_polynomial`, `buchberger`), which raise RingMismatchError unless
 their inputs share one ring, and unpacked on the way out, in canonical
 order, so no result is re-sorted.  `_buchberger_core` sees packed terms
@@ -48,7 +49,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .poly import _FIELD_MASK, MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
+from .poly import _FIELD, _FIELD_MASK, MonomialOrder, Polynomial, PolyRing, _Packing, _check_rings, _packing
 
 
 def _head(terms, field) -> tuple:
@@ -144,27 +145,22 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     return pk.polynomial(ring, _divide(dict(pk.terms(f.terms)), heads, ring.field.p, pk))
 
 
-def poly_divmod(f: Polynomial, g: Polynomial):
-    """Single-divisor division: returns (q, r) with f = q*g + r and no
-    term of r divisible by the leading monomial of g."""
+def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The quotient f / g; raises ValueError unless g divides f.  The
+    remainder of a division by g is `normal_form(f, [g])`."""
     ring = f.ring
     _check_rings(ring, (g,))
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
     field, pk = ring.field, ring.packing
     quot = []
-    head = _head(pk.terms(g.terms), field)
-    rem = _divide(dict(pk.terms(f.terms)), [head], field.p, pk, quot)
+    if _divide(dict(pk.terms(f.terms)), [_head(pk.terms(g.terms), field)], field.p, pk, quot):
+        raise ValueError(f"{f} is not an exact multiple of {g}")
     lc = g.leading_coeff
     if lc != 1:  # quot is the quotient by the monic head: scale it by 1/lc(g)
         inv, p = field.inv(lc), field.p
         quot = [(d, c * inv % p) for d, c in quot]
-    return pk.polynomial(ring, quot), pk.polynomial(ring, rem)
-
-
-def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
-    q, r = poly_divmod(f, g)
-    if not r.is_zero:
-        raise ValueError(f"{f} is not an exact multiple of {g}")
-    return q
+    return pk.polynomial(ring, quot)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -290,12 +286,13 @@ def _eliminate(ring: PolyRing, k: int, gens):
     the reduced basis elements free of the first k are projected into `ring`."""
     lift = _packing(MonomialOrder.block(k), k + ring.nvars)
     basis = _buchberger_core([dict(lift.terms(terms)) for terms in gens], ring.field, lift)
-    # block(k) ranks any monomial involving the first k variables above
-    # every one free of them, so an element is free of them exactly when its lead is
+    # block(k) ranks any monomial involving the first k variables above every
+    # one free of them, so an element is free of them when its lead's k lowest fields are 0
+    block = (1 << _FIELD * k) - 1
     return [
         ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in [(lm, 1)] + tail])
         for lm, tail in basis
-        if not any(lift.unpack(lm)[:k])
+        if not lm & block
     ]
 
 

@@ -188,12 +188,15 @@ class PolyRing:
 
     def poly(self, term_map) -> "Polynomial":
         """Canonical polynomial from a {monomial: coefficient} mapping."""
-        p = self.field.p
+        p, n = self.field.p, self.nvars
         terms = []
         for exps, c in term_map.items():
+            exps = tuple(exps)
+            if len(exps) != n:
+                raise ValueError(f"monomial {exps} does not have the {n} exponents of {self!r}")
             c %= p
             if c:
-                terms.append((tuple(exps), c))
+                terms.append((exps, c))
         return self.packing.sort(self, terms)
 
     def zero(self) -> "Polynomial":
@@ -346,13 +349,11 @@ class Polynomial:
         q = p ** min(e, 32)
         out = []
         for m, c in self.terms:
-            nm = tuple(a * q for a in m)
-            for x in nm:
-                if x >= EXP_LIMIT:
-                    raise ExponentOverflowError(
-                        f"exponent {max(m)} * {p}^{e} exceeds 2^32 in Frobenius power"
-                    )
-            out.append((nm, c))
+            if m and max(m) * q >= EXP_LIMIT:
+                raise ExponentOverflowError(
+                    f"exponent {max(m)} * {p}^{e} exceeds 2^32 in Frobenius power"
+                )
+            out.append((tuple([a * q for a in m]), c))
         return Polynomial(self.ring, tuple(out))
 
     def derivative(self, i: int) -> "Polynomial":

@@ -26,7 +26,7 @@ from ffrob import (
     poly_ideal_intersect,
     regularity_probe,
 )
-from ffrob.groebner import poly_divexact, poly_divmod, s_polynomial
+from ffrob.groebner import poly_divexact, s_polynomial
 
 from oracles import (
     order_key,
@@ -154,7 +154,7 @@ def test_intersection_contains_products(picks):
 
 # In F_2[x,y] and F_2[x,y,z] the same exponent positions name x and y, so
 # mixing the rings used to answer silently: normal_form(x*y, [x*z]) was 0,
-# poly_divmod(x*y, x*z) was (y, 0), and buchberger([x, y]) was [x, y].
+# poly_divexact(x*y, x*z) was y, and buchberger([x, y]) was [x, y].
 XY = PolyRing(F2, ("x", "y"))
 XYZ = PolyRing(F2, ("x", "y", "z"))
 
@@ -170,11 +170,11 @@ def test_normal_form_refuses_a_basis_from_another_ring():
     assert normal_form(xa * ya, [PolyRing(F2, ("x", "y")).variable(0)]).is_zero
 
 
-def test_poly_divmod_refuses_a_divisor_from_another_ring():
+def test_poly_divexact_refuses_a_divisor_from_another_ring():
     xa, ya = XY.variables()
     xb, _, zb = XYZ.variables()
     with pytest.raises(RingMismatchError):
-        poly_divmod(xa * ya, xb * zb)
+        poly_divexact(xa * ya, xb * zb)
     with pytest.raises(RingMismatchError):
         poly_divexact(xa * ya, xb)
 
@@ -429,10 +429,13 @@ def _check_division(p, order, f, basis):
     for g in gs:
         if g.is_zero:
             continue
-        q, r = poly_divmod(fp, g)
+        # the remainder by one divisor is its normal form, and f - r is an
+        # exact multiple of g
+        r = normal_form(fp, [g])
         ref_q, ref_r = reference_divmod(dict(fp.terms), dict(g.terms), p, order)
-        assert q.terms == ring.poly(ref_q).terms
         assert r.terms == ring.poly(ref_r).terms
+        q = poly_divexact(fp - r, g)
+        assert q.terms == ring.poly(ref_q).terms
         assert q * g + r == fp
 
 
@@ -490,6 +493,14 @@ def test_exact_division_refuses_a_remainder():
         poly_divexact(x * y + R.one(), x)
 
 
+def test_exact_division_by_zero_raises_zero_division():
+    x, y = R.variables()
+    with pytest.raises(ZeroDivisionError, match="^division by the zero polynomial$"):
+        poly_divexact(x * y, R.zero())
+    with pytest.raises(ZeroDivisionError):
+        poly_divexact(R.zero(), R.zero())
+
+
 # --- the exponent budget in division and S-polynomials -------------------
 
 BUDGET = 2**32 - 1  # the largest exponent a monomial may carry
@@ -514,7 +525,7 @@ def test_division_and_s_polynomials_keep_the_exponent_budget():
     lex = PolyRing(F2, ("x", "y"), MonomialOrder.lex())
     u, v = lex.variables()
     with pytest.raises(ExponentOverflowError, match=r"^exponent 4294967297 exceeds 2\^32$"):
-        poly_divmod(lex.poly({(1, BUDGET): 1}), u + v * v)
+        normal_form(lex.poly({(1, BUDGET): 1}), [u + v * v])
     # a polynomial built past the budget, which only the raw constructor
     # makes, is refused as input too
     with pytest.raises(ExponentOverflowError):

@@ -113,6 +113,32 @@ def test_exponent_overflow():
     assert R2.constant(1).frobenius_power(20000) == R2.constant(1)
 
 
+def test_frobenius_budget_boundary():
+    # over F_2, x^(2^31) squares to x^(2^32), the first exponent past the
+    # budget; x^(2^31 - 1) squares to x^(2^32 - 2), inside it
+    half = 2**31
+    message = r"^exponent 2147483648 \* 2\^1 exceeds 2\^32 in Frobenius power$"
+    with pytest.raises(ExponentOverflowError, match=message):
+        R2.poly({(half, 0): 1}).frobenius_power(1)
+    assert R2.poly({(half - 1, 0): 1}).frobenius_power(1) == R2.poly({(2**32 - 2, 0): 1})
+    # both terms overflow; the error names the largest exponent of the first term
+    f = R2.poly({(half + 9, 1): 1, (0, half + 7): 1})
+    assert f.leading_monomial == (half + 9, 1)
+    with pytest.raises(ExponentOverflowError, match=r"^exponent 2147483657 \* "):
+        f.frobenius_power(1)
+
+
+def test_poly_refuses_a_monomial_of_another_length():
+    # a short monomial used to pack as if padded with zeros, and a long one
+    # as if truncated, into polynomials that no equality or printout matched
+    message = r"^monomial .* does not have the 2 exponents of F_2\[x,y\]<grevlex>$"
+    for exps in [(0, 0, 5), (1, 2, 3), (1,), ()]:
+        with pytest.raises(ValueError, match=message):
+            R2.poly({exps: 1})
+    with pytest.raises(ValueError, match="exponents"):
+        R2.poly({(1, 0): 1, (0, 0, 1): 0})
+
+
 def test_product_exponent_limit():
     x, y = xy(R2)
     top = 2**32 - 1

@@ -1,6 +1,7 @@
 """Source checks that stand in for a linter."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -70,6 +71,51 @@ def test_every_exported_name_is_used_in_the_package():
         "elimination_ideal",
         # ROADMAP item 1b gives each FAIL witness a `reverified` field from it
         "reverify_witness",
+    }
+
+
+def test_every_public_function_and_method_is_read_in_the_package():
+    # a public function or method that nothing in the package reads is API
+    # without a caller, and is deleted; each one kept says why.  A method
+    # that overrides a base-class hook is called by the base, so it is left out
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for tree in trees.values()
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    public = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                public.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                bases = getattr(importlib.import_module(f"ffrob.{stem}"), node.name).__mro__[1:]
+                public += [
+                    (f"{node.name}.{m.name}", m.name)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not any(hasattr(b, m.name) for b in bases)
+                ]
+    assert public
+    unread = {where for where, name in public if not name.startswith("_") and name not in read}
+    assert unread == {
+        # ROADMAP item 4b deletes these with their perfbench spans and counts
+        "MonomialOrder.key",
+        "Polynomial.mul_term",
+        "s_polynomial",
+        "elimination_ideal",
+        # derandomized tests call it, and an edit to their bodies would
+        # change the inputs they draw
+        "Polynomial.convert",
+        # ROADMAP item 1b gives each FAIL witness a `reverified` field from it
+        "reverify_witness",
+        # the constructor of the lex order, beside grevlex() and block()
+        "MonomialOrder.lex",
     }
 
 
