@@ -14,7 +14,9 @@ extracts an element of the larger side that the smaller side lacks: a
 certificate of non-regularity (for reduced rings).
 A colon by x is an intersection with (x) divided by x, so both element
 identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
-`_element_sides` eliminates once for both.
+`_element_sides` eliminates once for both.  Every side is built as lists
+of packed generators in one packing, `_Lift`, and the sides of a passing
+check are equal lists: only sides that differ are unpacked into Ideals.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 from operator import add
 
 from .frobenius import _is_complete_intersection, bracket_power, is_reduced
-from .groebner import poly_divexact
-from .ideals import Ideal, QuotientRing, _divide_out
-from .poly import Polynomial, _check_rings, monomial_pool
+from .groebner import _divexact, _eliminated, _intersection_works, poly_divexact
+from .ideals import Ideal, QuotientRing
+from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, _check_rings, _packing, monomial_pool
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
 PRINCIPAL_INTERSECTION = "PRINCIPAL_INTERSECTION"
@@ -87,58 +89,107 @@ class CheckReport:
         return d
 
 
+class _Lift:
+    """The ideals of R = S/Q as lists of generators, each a polynomial's
+    terms packed under block(1) on t and S's variables.  Free of t, block(1)
+    is the grevlex of S, so they unpack in canonical order; packing is
+    linear, so a q-th power multiplies each packed monomial by q."""
+
+    def __init__(self, R: QuotientRing, e: int):
+        if e < 0:
+            raise ValueError("Frobenius exponent must be nonnegative")
+        self.R, self.e, self.q = R, e, R.field.p ** min(e, 32)  # q as in frobenius_power
+        self.pk = _packing(MonomialOrder.block(1), 1 + R.ambient.nvars)
+        self.Q = self.pack(R.quotient_gens)
+
+    def pack(self, polys) -> list:
+        return [self.pk.terms(((0,) + m, c) for m, c in f.terms) for f in polys]
+
+    def meet(self, a, b) -> list:
+        """(A + Q) ∩ B: Q joins one side, as in `Ideal.intersect`."""
+        field = self.R.field
+        return _eliminated(_intersection_works(self.pk, a + self.Q, b, field.p), field, self.pk)
+
+    def power(self, gens) -> list:
+        """A^[q].  A generator's lead has its largest degree, so only one
+        whose lead's degree times q reaches 2^32 is unpacked, for
+        `Polynomial.frobenius_power` to keep the exponent budget."""
+        pk, q = self.pk, self.q
+        for g in gens:  # the lead's degree: its fields summed into the top one
+            if ((g[0][0] & pk.mask) * pk.wsum >> pk.wtop & _FIELD_MASK) * q >= EXP_LIMIT:
+                self.ideal([g]).gens[0].frobenius_power(self.e)
+        return [[(m * q, c) for m, c in g] for g in gens]
+
+    def ideal(self, gens) -> Ideal:
+        S, unpack = self.R.ambient, self.pk.unpack
+        return Ideal(self.R, [Polynomial(S, tuple([(unpack(m)[1:], c) for m, c in g])) for g in gens])
+
+
 def _element_sides(I: Ideal, x: Polynomial, e: int):
     """Both element identities' sides from A = I ∩ (x) and
     B = I^[q] ∩ (x^q), each eliminated once: the principal intersection's
-    (B, A^[q]) and the colon's ((A : x)^[q], (B : x^q))."""
-    xq = x.frobenius_power(e)
-    A = I.intersect(I.ring.ideal([x]))
-    B = bracket_power(I, e).intersect(I.ring.ideal([xq]))
-    colon = (bracket_power(_divide_out(A, x), e), _divide_out(B, xq))
-    return (B, bracket_power(A, e)), colon
+    (B, A^[q]) and the colon's ((A : x)^[q], B : x^q), after their `_Lift`."""
+    L = _Lift(I.ring, e)
+    _check_rings(I.ring.ambient, (x,))
+    gens, X = L.pack(I.gens), L.pack([] if x.is_zero else [x])
+    Xq = L.power(X)
+    A = L.meet(gens, X)
+    B = L.meet(L.power(gens), Xq)
+
+    def divide(M, y):  # (M : y) for M ⊆ (y), each generator divided exactly; (M : 0) = (1)
+        return [_divexact(g, y[0], I.ring.field, L.pk) for g in M] if y else [[(0, 1)]]
+
+    colon = (L.power(divide(A, X)), divide(B, Xq))
+    return L, (B, L.power(A)), colon
 
 
 def _intersection_family_sides(I: Ideal, family, e: int):
-    """(I ∩ J_1 ∩ ...)^[q] and I^[q] ∩ J_1^[q] ∩ ..., folding left to right."""
-    meet = I
+    """(I ∩ J_1 ∩ ...)^[q] and I^[q] ∩ J_1^[q] ∩ ..., folding left to right, after `_Lift`."""
+    L = _Lift(I.ring, e)
+    _check_rings(I.ring, family)
+    gens = meet = L.pack(I.gens)
     for J in family:
-        meet = meet.intersect(J)
-    lhs = bracket_power(meet, e)
-    rhs = bracket_power(I, e)
+        meet = L.meet(meet, L.pack(J.gens))
+    lhs = L.power(meet)
+    rhs = L.power(gens)
     for J in family:
-        rhs = rhs.intersect(bracket_power(J, e))
-    return lhs, rhs
+        rhs = L.meet(rhs, L.power(L.pack(J.gens)))
+    return L, (lhs, rhs)
 
 
-# identity -> (builder of its two sides from (I, operand, e),
+# identity -> (builder of its `_Lift` and two sides from (I, operand, e),
 # the side that always contains the other)
 _SIDES = {
-    PRINCIPAL_INTERSECTION: (lambda I, x, e: _element_sides(I, x, e)[0], "lhs"),
-    COLON: (lambda I, x, e: _element_sides(I, x, e)[1], "rhs"),
+    PRINCIPAL_INTERSECTION: (lambda I, x, e: _element_sides(I, x, e)[:2], "lhs"),
+    COLON: (lambda I, x, e: _element_sides(I, x, e)[::2], "rhs"),
     INTERSECTION_FAMILY: (_intersection_family_sides, "rhs"),
 }
 
 
-def _judge(identity, sides, I, operand, e) -> CheckReport:
+def _judge(identity, L, sides, I, operand, e) -> CheckReport:
     """PASS iff the larger side lies in the smaller; otherwise the first
-    reduced-basis generator of the larger side that the smaller lacks."""
+    reduced-basis generator of the larger side that the smaller lacks.
+    Equal packed generator lists are one ideal and pass without a basis;
+    only sides that differ are unpacked into Ideals."""
     side = _SIDES[identity][1]
     big, small = sides if side == "lhs" else sides[::-1]
-    if big <= small:
-        return CheckReport(identity, I.ring.describe(), 1, "PASS")
-    sep = next(g for g in big.groebner if not small.contains(g))
-    return CheckReport(identity, I.ring.describe(), 1, "FAIL", Witness(I, operand, e, sep, side))
+    if big != small:
+        big, small = L.ideal(big), L.ideal(small)
+        if not big <= small:
+            sep = next(g for g in big.groebner if not small.contains(g))
+            return CheckReport(identity, I.ring.describe(), 1, "FAIL", Witness(I, operand, e, sep, side))
+    return CheckReport(identity, I.ring.describe(), 1, "PASS")
 
 
 def _check(identity, I, operand, e) -> CheckReport:
-    return _judge(identity, _SIDES[identity][0](I, operand, e), I, operand, e)
+    return _judge(identity, *_SIDES[identity][0](I, operand, e), I, operand, e)
 
 
 def _element_checks(I, x, e):
     """Principal-intersection, then colon report on one (I, x, e)."""
-    principal, colon = _element_sides(I, x, e)
-    yield _judge(PRINCIPAL_INTERSECTION, principal, I, x, e)
-    yield _judge(COLON, colon, I, x, e)
+    L, principal, colon = _element_sides(I, x, e)
+    yield _judge(PRINCIPAL_INTERSECTION, L, principal, I, x, e)
+    yield _judge(COLON, L, colon, I, x, e)
 
 
 def check_principal_intersection(I: Ideal, x: Polynomial, e: int = 1) -> CheckReport:
@@ -176,7 +227,8 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
         gens.append(gens[0] + gens[1])
     elif gens:
         gens.append(gens[0] + gens[0])  # 2g, redundant in any characteristic
-    lhs, rhs = entry[0](Ideal(ring, gens), w.operand, w.e)
+    L, sides = entry[0](Ideal(ring, gens), w.operand, w.e)
+    lhs, rhs = map(L.ideal, sides)
     return lhs.contains(w.separator) != rhs.contains(w.separator)
 
 
@@ -335,7 +387,10 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
     A FAIL certifies the identity failure outright, and non-regularity
     when the ring is reduced; finding nothing is reported as exactly
     that, never as a regularity proof.  Raises ValueError before any work
-    for an e_list that is empty or holds an e < 1, or if no check would run."""
+    for an e_list that is empty or holds an e < 1, for a negative count,
+    or if no check would run."""
+    if config.count < 0:
+        raise ValueError(f"the probe needs a trial count >= 0, got {config.count}")
     # a huge range is never walked: its least element is one of its ends
     e_list = e_list if isinstance(e_list, range) else tuple(e_list)
     ends = (*e_list[:1], *e_list[-1:]) if isinstance(e_list, range) else e_list

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import UnsupportedOperationError
 from .groebner import _eliminate
 from .ideals import Ideal, QuotientRing
-from .poly import EXP_LIMIT, Polynomial
+from .poly import EXP_LIMIT, MonomialOrder, Polynomial, _packing
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -76,12 +76,11 @@ def frobenius_kernel_preimage(J: Ideal) -> Ideal:
         )
     S = J.ring.ambient
     n, p = S.nvars, S.field.p
-    pad = (0,) * n
-    gens = [[(m + pad, c) for m, c in g.terms] for g in J.gens]
-    for i in range(n):  # y_i - x_i^p
-        x, y = pad[:i] + (p,) + pad[i + 1 :], pad[:i] + (1,) + pad[i + 1 :]
-        gens.append([(pad + y, 1), (x + pad, p - 1)])
-    return Ideal(J.ring, _eliminate(S, n, gens))
+    lift = _packing(MonomialOrder.block(n), 2 * n)
+    works = [dict(lift.terms(g.terms)) for g in J.gens]  # packed in the x, the first n
+    for x, y in zip(lift.units, lift.units[n:]):  # y_i - x_i^p
+        works.append({y: 1, p * x: p - 1})
+    return Ideal(J.ring, _eliminate(S, lift, works))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,10 @@ the order.
 
 One division loop, `_divide`, serves Buchberger's S-polynomial and
 generator reductions, the tail reduction of the final basis, the public
-`normal_form`, and `poly_divexact`, which runs it over one divisor, has
-it record each reduction step's cofactor, the quotient, and refuses a
-nonzero remainder without unpacking it.  Every divisor is made monic by
+`normal_form`, and `_divexact`, which runs it over one divisor, has it
+record each reduction step's cofactor, the quotient, and refuses a
+nonzero remainder without unpacking it; `poly_divexact` is its
+polynomial entry point.  Every divisor is made monic by
 one helper, `_head`.  The loop keeps its working terms in a heap of
 negated packed monomials, largest first (Johnson 1974; Monagan & Pearce
 2011).  A term that cancels keeps its heap entry, with coefficient 0,
@@ -39,9 +40,11 @@ only: it takes work dicts, the field and a packing, and returns the
 reduced basis as heads.  `buchberger` is its one polynomial entry point.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
-preimages) runs through `_eliminate`.  It packs the builders' term
-lists under block(k) on k + n variables, runs the core on them, and
-sorts only the basis elements it keeps into the caller's ring.
+preimages) runs the core through `_eliminated` on work dicts that its
+builder packed under block(k) on k + n variables; every intersection's
+works come from `_intersection_works`.  `_eliminated` keeps the basis
+elements free of the first k variables as packed terms, and
+`_eliminate` sorts them into the caller's ring.
 """
 
 from __future__ import annotations
@@ -152,15 +155,24 @@ def poly_divexact(f: Polynomial, g: Polynomial) -> Polynomial:
     _check_rings(ring, (g,))
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    field, pk = ring.field, ring.packing
-    quot = []
-    if _divide(dict(pk.terms(f.terms)), [_head(pk.terms(g.terms), field)], field.p, pk, quot):
+    pk = ring.packing
+    quot = _divexact(pk.terms(f.terms), pk.terms(g.terms), ring.field, pk)
+    if quot is None:
         raise ValueError(f"{f} is not an exact multiple of {g}")
-    lc = g.leading_coeff
+    return pk.polynomial(ring, quot)
+
+
+def _divexact(f, g, field, pk: _Packing):
+    """The quotient f / g of packed terms in descending order, in the same
+    form, or None unless g divides f; the remainder is never unpacked."""
+    quot = []
+    if _divide(dict(f), [_head(g, field)], field.p, pk, quot):
+        return None
+    lc = g[0][1]
     if lc != 1:  # quot is the quotient by the monic head: scale it by 1/lc(g)
         inv, p = field.inv(lc), field.p
         quot = [(d, c * inv % p) for d, c in quot]
-    return pk.polynomial(ring, quot)
+    return quot
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -278,32 +290,40 @@ def _reduce_basis(G, p: int, pk: _Packing) -> list:
     return kept
 
 
-def _eliminate(ring: PolyRing, k: int, gens):
-    """Generators of (ideal ∩ ring) for the ideal that gens generate.
-
-    gens are term lists, as `_Packing.terms` takes them, on k variables to
-    eliminate followed by those of `ring`.  They are packed under block(k);
-    the reduced basis elements free of the first k are projected into `ring`."""
-    lift = _packing(MonomialOrder.block(k), k + ring.nvars)
-    basis = _buchberger_core([dict(lift.terms(terms)) for terms in gens], ring.field, lift)
+def _eliminated(works, field, lift: _Packing) -> list:
+    """The reduced basis elements of `works`, packed by lift under block(k),
+    that are free of the first k variables, as packed terms."""
     # block(k) ranks any monomial involving the first k variables above every
     # one free of them, so an element is free of them when its lead's k lowest fields are 0
-    block = (1 << _FIELD * k) - 1
+    block = (1 << _FIELD * lift.order.nblock) - 1
+    return [[(lm, 1)] + tail for lm, tail in _buchberger_core(works, field, lift) if not lm & block]
+
+
+def _eliminate(ring: PolyRing, lift: _Packing, works):
+    """Generators of (ideal ∩ ring) for the ideal of `works`: the elements
+    of `_eliminated`, on k variables to eliminate followed by those of
+    `ring`, sorted into `ring`."""
+    k = lift.order.nblock
     return [
-        ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in [(lm, 1)] + tail])
-        for lm, tail in basis
-        if not lm & block
+        ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in g])
+        for g in _eliminated(works, ring.field, lift)
     ]
+
+
+def _intersection_works(lift: _Packing, gens_a, gens_b, p: int) -> list:
+    """The works of t·A + (1-t)·B for A and B given as generators of packed
+    terms free of t, the first variable of lift."""
+    t = lift.units[0]
+    works = [{m + t: c for m, c in f} for f in gens_a]
+    return works + [dict(s for m, c in g for s in ((m + t, -c % p), (m, c))) for g in gens_b]
 
 
 def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
     """Intersection of two polynomial ideals of `ring`: eliminates t from
     t·A + (1-t)·B, with t the one variable put in front."""
-    p = ring.field.p
-    mixed = [[((1,) + m, c) for m, c in f.terms] for f in gens_a]
-    for g in gens_b:
-        mixed.append([t for m, c in g.terms for t in (((1,) + m, -c % p), ((0,) + m, c))])
-    return _eliminate(ring, 1, mixed)
+    lift = _packing(MonomialOrder.block(1), 1 + ring.nvars)
+    a, b = ([lift.terms(((0,) + m, c) for m, c in f.terms) for f in gens] for gens in (gens_a, gens_b))
+    return _eliminate(ring, lift, _intersection_works(lift, a, b, ring.field.p))
 
 
 def elimination_ideal(gens, k: int):
@@ -313,7 +333,9 @@ def elimination_ideal(gens, k: int):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return []
+    ring = gens[0].ring
+    lift = _packing(MonomialOrder.block(k), k + ring.nvars)
     # the eliminated block stands in for the first k variables, which stay at 0
     pad = (0,) * k
-    lifted = [[(m[:k] + pad + m[k:], c) for m, c in g.terms] for g in gens]
-    return _eliminate(gens[0].ring, k, lifted)
+    works = [dict(lift.terms((m[:k] + pad + m[k:], c) for m, c in g.terms)) for g in gens]
+    return _eliminate(ring, lift, works)

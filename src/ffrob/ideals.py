@@ -131,9 +131,13 @@ class Ideal:
         return Ideal(self.ring, poly_ideal_intersect(self.ring.ambient, lift, list(other.gens)))
 
     def colon(self, x: Polynomial) -> "Ideal":
-        """(I : x) = {f : f·x ∈ I} as an ideal of R, computed as
-        (I ∩ (x)) / x by `_divide_out`."""
-        return _divide_out(self.intersect(self.ring.ideal([x])), x)
+        """(I : x) = {f : f·x ∈ I} as an ideal of R: each generator of
+        I ∩ (x) divided exactly by x.  x = 0 yields the unit ideal; for
+        x ∈ Q, x itself is in I ∩ (x)."""
+        meet = self.intersect(self.ring.ideal([x]))
+        if x.is_zero:
+            return self.ring.unit_ideal()
+        return Ideal(self.ring, [poly_divexact(g, x) for g in meet.gens])
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J) = ∩_j (I : g_j) over the generators of J."""
@@ -162,10 +166,3 @@ class Ideal:
     def __repr__(self):
         return "(" + ", ".join(str(g) for g in self.groebner) + ")"
 
-
-def _divide_out(meet: Ideal, x: Polynomial) -> Ideal:
-    """(meet : x) for meet = J ∩ (x), each generator divided exactly by x.
-    x = 0 yields the unit ideal; for x ∈ Q, x itself is in meet."""
-    if x.is_zero:
-        return meet.ring.unit_ideal()
-    return Ideal(meet.ring, [poly_divexact(g, x) for g in meet.gens])

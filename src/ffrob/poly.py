@@ -294,10 +294,6 @@ class Polynomial:
     def leading_monomial(self):
         return self.terms[0][0]
 
-    @property
-    def leading_coeff(self) -> int:
-        return self.terms[0][1]
-
     def total_degree(self) -> int:
         """Degree of the zero polynomial is -1 by convention."""
         if not self.terms:

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ffrob import (
+    ExponentOverflowError,
     FFrobError,
     Ideal,
     PolyRing,
@@ -44,16 +45,29 @@ from ffrob.checks import (
     SINGULAR,
     UNSUPPORTED,
     ProbeReport,
-    _SIDES,
     _structured_inputs,
 )
-from ffrob import checks, groebner
+from ffrob import checks, groebner, poly
 from ffrob.poly import monomial_pool
 
 from oracles import CuspSemigroup
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+
+def _as_ideals(build):
+    """A builder of `checks._SIDES`, with both packed sides unpacked into Ideals."""
+
+    def sides(I, operand, e):
+        L, packed = build(I, operand, e)
+        return tuple(map(L.ideal, packed))
+
+    return sides
+
+
+# identity -> (builder of its two sides as Ideals, the larger side)
+_SIDES = {identity: (_as_ideals(build), side) for identity, (build, side) in checks._SIDES.items()}
 
 
 def P(ring, text):
@@ -550,6 +564,107 @@ def test_a_one_shot_e_list_serves_every_trial(monkeypatch):
     monkeypatch.setattr(checks, "_element_checks", recording)
     report = regularity_probe(QuotientRing(PrimeField(2), ("x",)), SamplerConfig(count=2), iter((1,)))
     assert (report.verdict, seen) == (NO_WITNESS_FOUND, [1] * 4)
+
+
+@pytest.mark.parametrize("names", [(), ("x", "y")], ids=["no variables", "F_2[x,y]"])
+@pytest.mark.parametrize("count", [-1, -3])
+def test_a_negative_trial_count_raises_before_any_work(names, count, monkeypatch):
+    # -1 is truthy, so on a ring without variables it passed the "would run
+    # no check" guard; either way the report claimed trials=count from no trial
+    calls = []
+    monkeypatch.setattr(checks, "is_reduced", calls.append)
+    with pytest.raises(ValueError, match="count >= 0"):
+        regularity_probe(QuotientRing(F2, names), SamplerConfig(count=count))
+    assert calls == []
+
+
+@st.composite
+def element_case(draw):
+    """(I, x, e) over F_p[up to three variables], p in {2, 3, 5}, or over
+    its quotient by one or two generators, e in {0, 1, 2}; x is drawn
+    among 0, the constants, Q's generators and other polynomials."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    names = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    S = PolyRing(PrimeField(p), names)
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    poly = st.dictionaries(exps, st.integers(1, p - 1), min_size=1, max_size=2).map(S.poly)
+    qgens = draw(st.lists(poly, max_size=2))
+    try:
+        R = QuotientRing(S.field, names, qgens)
+    except FFrobError:
+        assume(False)  # the unit ideal: the ring is trivial
+    special = [S.zero(), S.constant(draw(st.integers(1, p - 1)))] + qgens
+    x = draw(st.one_of(poly, st.sampled_from(special)))
+    return R.ideal(draw(st.lists(poly, min_size=1, max_size=2))), x, draw(st.integers(0, 2))
+
+
+def _named_case(names, qtexts, gens, x, e):
+    """(I, x, e) over F_2[names]/(qtexts), from the texts of I's generators and x."""
+    R = make_ring(2, names, qtexts)
+    return R.ideal([P(R, g) for g in gens]), P(R, x), e
+
+
+_CUSP_CASE = (("x", "y"), ("y^2+x^3",), ("x",), "y")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(element_case())
+@example(_named_case(*_CUSP_CASE, 1))  # both identities fail
+@example(_named_case(*_CUSP_CASE, 2))
+@example(_named_case(("x",), ("x^2",), (), "x", 1))  # the colon fails, one generator a side
+@example(_named_case(*_CUSP_CASE[:3], "0", 2))  # (A : 0) is the unit ideal
+@example(_named_case(*_CUSP_CASE[:3], "1", 2))
+@example(_named_case(*_CUSP_CASE[:3], "y^2+x^3", 1))  # x in Q
+def test_packed_element_sides_match_the_public_operations(case):
+    # the probe's sides, unpacked, are the public operations' generators, and
+    # each element check answers as those operations decide the containment
+    I, x, e = case
+    R = I.ring
+    xq, Iq = x.frobenius_power(e), bracket_power(I, e)
+    A, B = I.intersect(R.ideal([x])), Iq.intersect(R.ideal([xq]))
+    public = {
+        PRINCIPAL_INTERSECTION: (check_principal_intersection, (B, bracket_power(A, e)), "lhs"),
+        COLON: (check_colon, (bracket_power(I.colon(x), e), Iq.colon(xq)), "rhs"),
+    }
+    L, *packed = checks._element_sides(I, x, e)
+    for (check, sides, larger), pair in zip(public.values(), packed):
+        assert [L.ideal(s).gens for s in pair] == [J.gens for J in sides]
+        big, small = sides if larger == "lhs" else sides[::-1]
+        sep = next((g for g in big.groebner if not small.contains(g)), None)
+        rep = check(I, x, e)
+        assert rep.outcome == ("PASS" if sep is None else "FAIL")
+        assert (rep.witness and rep.witness.separator) == sep
+        assert rep.witness is None or rep.witness.side == larger
+
+
+def test_the_packed_frobenius_keeps_the_exponent_budget():
+    # x^(2^31) and a generator of that degree overflow at q = 2, with the
+    # message of Polynomial.frobenius_power; x^(2^31-1)*y^(2^31-1) has degree
+    # times q past 2^32 but every exponent below it, so it is unpacked and passes
+    R = make_ring(2, ("x", "y"))
+    S = R.ambient
+    x, y = S.variables()
+    big = S.poly({(2**31, 0): 1})
+    message = r"^exponent 2147483648 \* 2\^1 exceeds 2\^32 in Frobenius power$"
+    with pytest.raises(ExponentOverflowError, match=message):
+        check_colon(R.ideal([x]), big, 1)
+    with pytest.raises(ExponentOverflowError, match=message):
+        check_colon(R.ideal([big]), y, 1)
+    edge = S.poly({(2**31 - 1, 2**31 - 1): 1})
+    assert check_colon(R.ideal([x]), edge, 1).passed
+    assert check_principal_intersection(R.ideal([x]), edge, 1).passed
+
+
+def test_a_passing_probe_unpacks_nothing(monkeypatch):
+    # both sides of a passing check present the same packed generators, so
+    # no monomial of the probe is unpacked; a failing check is
+    unpacked = []
+    unpack = poly._Packing.unpack
+    monkeypatch.setattr(poly._Packing, "unpack", lambda pk, m: unpacked.append(m) or unpack(pk, m))
+    rep = regularity_probe(QuotientRing(F2, ("x", "y")), SamplerConfig(seed=1, count=20))
+    assert (rep.verdict, unpacked) == (NO_WITNESS_FOUND, [])
+    assert not check_colon(*_named_case(*_CUSP_CASE, 1)).passed
+    assert unpacked
 
 
 def _load_tracer():

@@ -94,7 +94,7 @@ def test_every_output_is_a_groebner_basis():
             assert normal_form(s_polynomial(g, h), gb).is_zero
         # reduced: no term of one generator divisible by another's lead
         for g in gb:
-            assert g.leading_coeff == 1
+            assert g.terms[0][1] == 1  # monic
             for h in gb:
                 if h is g:
                     continue
@@ -273,9 +273,9 @@ def _is_canonical(f):
 
 
 def test_eliminations_build_generators_without_re_sorting(core_calls):
-    # the builders hand term lists to _eliminate, which packs them for the
-    # core: no ring, canonicalizing, multiplying or tuple keys on the way,
-    # and every polynomial out is in canonical order
+    # the builders pack their generators once and hand work dicts to
+    # _eliminate: no ring, canonicalizing, multiplying or tuple keys on the
+    # way, and every polynomial out is in canonical order
     S = QuotientRing(PrimeField(3), ("x", "y", "z"))
     x, y, z = S.ambient.variables()
     I = S.ideal([x * x + y * z, x * y * y + z.scale(2)])
@@ -802,8 +802,8 @@ TWISTED_CUBIC = ("x*z - y^2", "x*w - y*z", "y*w - z^2")
 
 
 def test_a_packed_lcm_is_built_only_for_a_popped_pair(monkeypatch):
-    # pairs wait with their lcms in the wide layout; the census ring's 319
-    # S-polynomials are the only lcms narrowed to packed monomials
+    # pairs wait with their lcms key-stripped (`_Packing.mask`); the census
+    # ring's 319 S-polynomials are the only lcms re-keyed by `narrow`
     R = _f5_quotient(*HIGHP)
     narrowed, calls = [], []
     narrow, spair = poly._Packing.narrow, groebner._spair
