@@ -14,9 +14,11 @@ extracts an element of the larger side that the smaller side lacks: a
 certificate of non-regularity (for reduced rings).
 A colon by x is an intersection with (x) divided by x, so both element
 identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
-`_element_sides` eliminates once for both.  Every side is built as lists
+`_principal_sides` eliminates once for both.  Every side is built as lists
 of packed generators in one packing, `_Lift`, and the sides of a passing
 check are equal lists: only sides that differ are unpacked into Ideals.
+Exact division by x^q commutes with raising to q, so equal principal
+sides make equal colon sides, and the probe judges the colon on them.
 """
 
 from __future__ import annotations
@@ -125,22 +127,28 @@ class _Lift:
         return Ideal(self.R, [Polynomial(S, tuple([(unpack(m)[1:], c) for m, c in g])) for g in gens])
 
 
-def _element_sides(I: Ideal, x: Polynomial, e: int):
-    """Both element identities' sides from A = I ∩ (x) and
-    B = I^[q] ∩ (x^q), each eliminated once: the principal intersection's
-    (B, A^[q]) and the colon's ((A : x)^[q], B : x^q), after their `_Lift`."""
+def _principal_sides(I: Ideal, x: Polynomial, e: int):
+    """The principal intersection's sides (B, A^[q]) after their `_Lift`, from
+    A = I ∩ (x) and B = I^[q] ∩ (x^q), each eliminated once; then x^q, packed."""
     L = _Lift(I.ring, e)
     _check_rings(I.ring.ambient, (x,))
     gens, X = L.pack(I.gens), L.pack([] if x.is_zero else [x])
     Xq = L.power(X)
     A = L.meet(gens, X)
-    B = L.meet(L.power(gens), Xq)
+    return L, (L.meet(L.power(gens), Xq), L.power(A)), Xq
 
-    def divide(M, y):  # (M : y) for M ⊆ (y), each generator divided exactly; (M : 0) = (1)
-        return [_divexact(g, y[0], I.ring.field, L.pk) for g in M] if y else [[(0, 1)]]
 
-    colon = (L.power(divide(A, X)), divide(B, Xq))
-    return L, (B, L.power(A)), colon
+def _colon_sides(L, principal, Xq):
+    """The colon's sides ((A : x)^[q], B : x^q) from the principal's (B, A^[q]):
+    exact division by x^q commutes with raising to q.  (M : 0) = (1)."""
+    B, Aq = principal
+    return tuple([_divexact(g, Xq[0], L.R.field, L.pk) for g in M] if Xq else [[(0, 1)]] for M in (Aq, B))
+
+
+def _element_sides(I: Ideal, x: Polynomial, e: int):
+    """Both element identities' sides after their `_Lift`: principal intersection's, colon's."""
+    L, principal, Xq = _principal_sides(I, x, e)
+    return L, principal, _colon_sides(L, principal, Xq)
 
 
 def _intersection_family_sides(I: Ideal, family, e: int):
@@ -160,7 +168,7 @@ def _intersection_family_sides(I: Ideal, family, e: int):
 # identity -> (builder of its `_Lift` and two sides from (I, operand, e),
 # the side that always contains the other)
 _SIDES = {
-    PRINCIPAL_INTERSECTION: (lambda I, x, e: _element_sides(I, x, e)[:2], "lhs"),
+    PRINCIPAL_INTERSECTION: (lambda I, x, e: _principal_sides(I, x, e)[:2], "lhs"),
     COLON: (lambda I, x, e: _element_sides(I, x, e)[::2], "rhs"),
     INTERSECTION_FAMILY: (_intersection_family_sides, "rhs"),
 }
@@ -187,8 +195,9 @@ def _check(identity, I, operand, e) -> CheckReport:
 
 def _element_checks(I, x, e):
     """Principal-intersection, then colon report on one (I, x, e)."""
-    L, principal, colon = _element_sides(I, x, e)
+    L, principal, Xq = _principal_sides(I, x, e)
     yield _judge(PRINCIPAL_INTERSECTION, L, principal, I, x, e)
+    colon = principal if principal[0] == principal[1] else _colon_sides(L, principal, Xq)
     yield _judge(COLON, L, colon, I, x, e)
 
 

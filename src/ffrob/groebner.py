@@ -6,16 +6,16 @@ out here.  Nothing here caches a basis: `buchberger` runs on every
 call, and `ffrob.ideals.Ideal` keeps the one basis cache.  Pairs are
 installed as Gebauer & Möller (1988) describe: as an element joins, the
 B criterion drops pending pairs and the M and F criteria drop new ones,
-so a pair ruled out is never queued.  Pair selection is the normal
-strategy (minimal lcm degree, ties by creation order), so the
-computation is fully deterministic.
+so a pair ruled out is never queued, and neither is one of coprime leads
+or of two monomials.  Pair selection is the normal strategy (minimal lcm
+degree, ties by creation order), so the computation is fully deterministic.
 
 Inside the kernel a monomial is one Python int and a term is two, the
 monomial and its coefficient: the packing of `ffrob.poly`, which defines
 the order.
 
 One division loop, `_divide`, serves Buchberger's S-polynomial and
-generator reductions, the tail reduction of the final basis, the public
+generator reductions, the tail reduction of a basis, the public
 `normal_form`, and `_divexact`, which runs it over one divisor, has it
 record each reduction step's cofactor, the quotient, and refuses a
 nonzero remainder without unpacking it; `poly_divexact` is its
@@ -26,10 +26,9 @@ negated packed monomials, largest first (Johnson 1974; Monagan & Pearce
 and is skipped when popped; every term a reduction step adds is smaller
 than the one being reduced, so a monomial never comes back once popped.
 Buchberger reduces each S-polynomial and input generator only until its
-leading term is irreducible, where `_divide` can stop, and leaves the
-tails to the final `_reduce_basis`.  The pair
-criteria read leads with their keys stripped (`_Packing.mask`), a few
-int operations per lcm, degree or divisibility test.  S-pairs wait in a
+leading term is irreducible, where `_divide` can stop.  The pair criteria
+read leads with their keys stripped (`_Packing.mask`), a few int
+operations per lcm, degree or divisibility test.  S-pairs wait in a
 separate heap of (lcm degree, j, i, lcm), in the order of the normal
 strategy above, and an lcm is re-keyed only when its pair is popped.
 Polynomials are packed on the way in (`normal_form`, `poly_divexact`,
@@ -37,13 +36,14 @@ Polynomials are packed on the way in (`normal_form`, `poly_divexact`,
 their inputs share one ring, and unpacked on the way out, in canonical
 order, so no result is re-sorted.  `_buchberger_core` sees packed terms
 only: it takes work dicts, the field and a packing, and returns the
-reduced basis as heads.  `buchberger` is its one polynomial entry point.
+minimal basis as heads; callers tail-reduce (`_reduce_basis`) only what
+they keep.  `buchberger` is its one polynomial entry point.
 
 Every elimination (intersections, hence colons, and Frobenius kernel
 preimages) runs the core through `_eliminated` on work dicts that its
 builder packed under block(k) on k + n variables; every intersection's
-works come from `_intersection_works`.  `_eliminated` keeps the basis
-elements free of the first k variables as packed terms, and
+works come from `_intersection_works`.  `_eliminated` tail-reduces only
+the basis elements free of the first k variables, as packed terms, and
 `_eliminate` sorts them into the caller's ring.
 """
 
@@ -199,13 +199,12 @@ def buchberger(gens):
     ring = gens[0].ring
     pk = ring.packing
     basis = _buchberger_core([dict(pk.terms(g.terms)) for g in gens], ring.field, pk)
-    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in basis]
+    return [pk.polynomial(ring, [(lm, 1)] + tail) for lm, tail in _reduce_basis(basis, ring.field.p, pk)]
 
 
 def _buchberger_core(works, field, pk: _Packing) -> list:
-    """Reduced Groebner basis of `works`, dicts of terms packed by pk that
-    are consumed in the order given, as heads (lm, tail) in descending
-    order of lm."""
+    """Minimal Groebner basis of `works`, dicts of terms packed by pk that
+    are consumed in the order given, as heads (lm, tail), tails unreduced."""
     p = field.p
     guard, mask, ws, wtop, narrow = pk.guard, pk.mask, pk.wsum, pk.wtop, pk.narrow
     G = []  # every element as a head of `_divide`: monic, packed, tail unreduced
@@ -247,9 +246,9 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
                 if len(live) < len(pairs):
                     pairs[:] = live
                     heapify(pairs)
-            # M and F criteria: in ascending (degree, i), a candidate goes
-            # when a kept one's lcm divides its lcm; coprime leads, whose lcm
-            # is their product, are kept but need no S-polynomial
+            # M and F criteria: in ascending (degree, i), a candidate goes when a
+            # kept one's lcm divides its lcm; coprime leads (lcm = product) and
+            # two monomials are kept but need no S-polynomial
             kept = []
             for d, i, t in sorted(cands):
                 for other in kept:
@@ -257,7 +256,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
                         break
                 else:
                     kept.append(t)
-                    if t != lm + leads[i]:
+                    if t != lm + leads[i] and (head[1] or G[i][1]):
                         heappush(pairs, (d, j, i, t))
             # elements whose lead lm divides leave the pair-forming set;
             # they stay in G as reducers
@@ -274,7 +273,7 @@ def _buchberger_core(works, field, pk: _Packing) -> list:
         rem = _divide(_spair(narrow(t), G[i], G[j], p, pk), G, p, pk, top=True)
         if rem:
             adjoin(rem)
-    return _reduce_basis([G[i] for i in basis], p, pk)
+    return [G[i] for i in basis]
 
 
 def _reduce_basis(G, p: int, pk: _Packing) -> list:
@@ -293,10 +292,11 @@ def _reduce_basis(G, p: int, pk: _Packing) -> list:
 def _eliminated(works, field, lift: _Packing) -> list:
     """The reduced basis elements of `works`, packed by lift under block(k),
     that are free of the first k variables, as packed terms."""
-    # block(k) ranks any monomial involving the first k variables above every
-    # one free of them, so an element is free of them when its lead's k lowest fields are 0
+    # block(k) ranks any monomial with the first k variables above all free of them: an
+    # element, and every smaller lead, is free of them when its lead's k lowest fields are 0
     block = (1 << _FIELD * lift.order.nblock) - 1
-    return [[(lm, 1)] + tail for lm, tail in _buchberger_core(works, field, lift) if not lm & block]
+    kept = [h for h in _buchberger_core(works, field, lift) if not h[0] & block]
+    return [[(lm, 1)] + tail for lm, tail in _reduce_basis(kept, field.p, lift)]
 
 
 def _eliminate(ring: PolyRing, lift: _Packing, works):

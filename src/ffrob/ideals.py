@@ -134,9 +134,10 @@ class Ideal:
         """(I : x) = {f : f·x ∈ I} as an ideal of R: each generator of
         I ∩ (x) divided exactly by x.  x = 0 yields the unit ideal; for
         x ∈ Q, x itself is in I ∩ (x)."""
-        meet = self.intersect(self.ring.ideal([x]))
+        _check_rings(self.ring.ambient, (x,))
         if x.is_zero:
             return self.ring.unit_ideal()
+        meet = self.intersect(self.ring.ideal([x]))
         return Ideal(self.ring, [poly_divexact(g, x) for g in meet.gens])
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":

@@ -637,6 +637,35 @@ def test_packed_element_sides_match_the_public_operations(case):
         assert rep.witness is None or rep.witness.side == larger
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(element_case())
+@example(_named_case(("x",), ("x^2",), (), "x", 1))  # the principal check passes on unequal sides
+def test_element_checks_report_as_the_two_checks(case):
+    # the probe's element checks skip the colon's division when the principal
+    # sides are equal lists, and report what each check reports alone
+    I, x, e = case
+    reports = list(checks._element_checks(I, x, e))
+    assert reports == [check_principal_intersection(I, x, e), check_colon(I, x, e)]
+
+
+def test_a_passing_probe_divides_nothing(monkeypatch):
+    # equal principal sides give equal colon sides, so a passing probe never
+    # divides by x^q; a failing colon check does
+    divided = []
+    divexact = groebner._divexact
+
+    def counting(*args):
+        divided.append(args)
+        return divexact(*args)
+
+    for module in (groebner, checks):
+        monkeypatch.setattr(module, "_divexact", counting)
+    rep = regularity_probe(QuotientRing(F2, ("x", "y")), SamplerConfig(seed=1, count=20))
+    assert (rep.verdict, divided) == (NO_WITNESS_FOUND, [])
+    assert not check_colon(*_named_case(*_CUSP_CASE, 1)).passed
+    assert divided
+
+
 def test_the_packed_frobenius_keeps_the_exponent_budget():
     # x^(2^31) and a generator of that degree overflow at q = 2, with the
     # message of Polynomial.frobenius_power; x^(2^31-1)*y^(2^31-1) has degree

@@ -152,6 +152,22 @@ def test_colon_by_zero_divisor_and_zero():
     assert D.ideal([x]).colon(D.ambient.zero()).is_unit
 
 
+def test_colon_by_zero_runs_no_elimination(monkeypatch):
+    # (I : 0) is the unit ideal whatever I ∩ (0) is, so it is never
+    # eliminated; an x of another ring is refused first, zero or not
+    R = ring2()
+    I = R.ideal([P(R, "x*y"), P(R, "y^2")])
+    runs = []
+    core = groebner._buchberger_core
+    monkeypatch.setattr(groebner, "_buchberger_core", lambda *a: runs.append(a) or core(*a))
+    assert I.colon(R.ambient.zero()).gens == (R.ambient.one(),)
+    other = PolyRing(F2, ("x", "y", "z"))
+    for x in (other.zero(), other.variable(0)):
+        with pytest.raises(RingMismatchError):
+            I.colon(x)
+    assert runs == []
+
+
 def test_colon_generators_multiply_back(cusp):
     I = cusp.ideal([P(cusp, "x^2"), P(cusp, "x*y")])
     x = P(cusp, "y")
