@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from operator import add
 
-from .frobenius import _is_complete_intersection, bracket_power, is_reduced
+from .frobenius import _is_complete_intersection, _singular_locus, bracket_power, is_reduced
 from .groebner import _divexact, _eliminated, _intersection_works, poly_divexact
 from .ideals import Ideal, QuotientRing
 from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, _check_rings, _packing, monomial_pool
@@ -243,31 +243,29 @@ def reverify_witness(report: CheckReport, ring: QuotientRing) -> bool:
 
 def fedder_is_fpure(ring: QuotientRing) -> bool:
     """Fedder's criterion at the origin: S/Q is F-pure there iff
-    (Q^[p] : Q) is not contained in m^[p], m = (all variables).
-
-    On a complete intersection Q = (f_1, ..., f_c) whose generators all
-    vanish at the origin, (Q^[p] : Q) = Q^[p] + ((f_1⋯f_c)^(p-1)) there
-    (Fedder 1983, section 2), and Q^[p] ⊆ m^[p]: R is F-pure iff
-    (f_1⋯f_c)^(p-1) has a term with every exponent below p.  Any other
-    ring decides the containment, a colon by Q and one basis of m^[p]."""
-    if ring.is_polynomial_ring:
-        return True
+    (Q^[p] : Q) ⊄ m^[p], m = (all variables).  m^[p] is a monomial ideal,
+    so that holds iff a generator of the colon has a term with every
+    exponent below p.  On a complete intersection Q = (f_1, ..., f_c)
+    whose generators all vanish at the origin, (Q^[p] : Q) = Q^[p] +
+    ((f_1⋯f_c)^(p-1)) there (Fedder 1983, section 2), and only that
+    product can have such a term; the polynomial ring is the CI with
+    c = 0.  Any other ring computes the colon by Q."""
     Q = ring.defining_ideal()
     # a generator vanishes at the origin when its smallest term is not constant
     if _is_complete_intersection(Q) and all(any(f.terms[-1][0]) for f in Q.gens):
-        return bool(_box_power(Q.gens, ring.field.p))
+        return bool(_box_power(ring, Q.gens))
     colon = bracket_power(Q, 1).colon_ideal(Q)
-    m_p = ring.cover().ideal([v.frobenius_power(1) for v in ring.ambient.variables()])
-    return not colon <= m_p
+    return any(max(m) < ring.field.p for g in colon.gens for m, _ in g.terms)
 
 
-def _box_power(gens, p: int) -> dict:
+def _box_power(ring: QuotientRing, gens) -> dict:
     """The terms of (f_1⋯f_c)^(p-1) with every exponent below p, as
     {monomial: coefficient}.  Each f^(p-1) is f^[p] / f, an exact division,
     since f^p = f^[p] in characteristic p.  A product's exponents only
     grow, so a term past the box, of a factor or of a partial product,
     is dropped as soon as it appears."""
-    acc = {(0,) * gens[0].ring.nvars: 1}
+    p = ring.field.p
+    acc = {(0,) * ring.ambient.nvars: 1}
     for f in gens:
         power = [(m, c) for m, c in poly_divexact(f.frobenius_power(1), f).terms if max(m) < p]
         nxt = {}
@@ -283,17 +281,14 @@ def _box_power(gens, p: int) -> dict:
 def jacobian_regularity_oracle(ring: QuotientRing) -> str:
     """Independent smoothness check, hypersurface case only.
 
-    Q = 0 is trivially REGULAR.  For a principal Q = (f) the Jacobian
-    ideal (f, all partials) is the unit ideal exactly on smooth
-    hypersurfaces; anything else is UNSUPPORTED."""
+    Q = 0 is REGULAR.  A principal Q = (f), one element in its reduced basis,
+    is REGULAR iff its singular locus (f, all partials) is (1); else UNSUPPORTED."""
     if ring.is_polynomial_ring:
         return REGULAR
     gb = ring.defining_ideal().groebner
     if len(gb) != 1:
         return UNSUPPORTED
-    f = gb[0]
-    jac = ring.cover().ideal([f] + [f.derivative(i) for i in range(ring.ambient.nvars)])
-    return REGULAR if jac.is_unit else SINGULAR
+    return REGULAR if _singular_locus(ring.cover(), gb).is_unit else SINGULAR
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ reducedness test).
 A complete intersection (CI), Q generated by c elements in codimension
 c, is decided from its equations instead.  `_is_complete_intersection`
 reads the codimension off the leading monomials of Q's reduced basis,
-which the ring computes when it is built.  On a CI, `is_reduced` counts
-dimensions by the Jacobian criterion (Matsumura, Thm 23.8: reduced is R0
-plus S1, and a CI is Cohen-Macaulay), and `checks.fedder_is_fpure` scans
-one product (Fedder 1983, section 2); neither runs an elimination.
+which the ring computes when it is built.  `_singular_locus` is the one
+Jacobian ideal: `is_reduced` counts its dimension on a CI (Matsumura,
+Thm 23.8: reduced is R0 plus S1, and a CI is Cohen-Macaulay), and
+`checks.jacobian_regularity_oracle` asks if it is (1).  On a CI,
+`checks.fedder_is_fpure` scans one product (Fedder 1983, section 2).
 Every other ring keeps the eliminations.
 """
 
@@ -144,6 +145,13 @@ def _det(rows, cols):
     return det
 
 
+def _singular_locus(cover: QuotientRing, gens) -> Ideal:
+    """In the cover, the c = len(gens) ≥ 1 generators and the c×c minors of their Jacobian matrix."""
+    n = cover.ambient.nvars
+    jac = [[f.derivative(i) for i in range(n)] for f in gens]
+    return cover.ideal([*gens, *(_det(jac, cols) for cols in itertools.combinations(range(n), len(gens)))])
+
+
 def is_reduced(ring: QuotientRing) -> bool:
     """True iff R has no nonzero nilpotents.  A polynomial ring is reduced.
 
@@ -151,17 +159,14 @@ def is_reduced(ring: QuotientRing) -> bool:
     satisfies R0 and S1 (Matsumura, Thm 23.8).  R is Cohen-Macaulay, so
     S1 holds, and Q is unmixed; over the perfect field F_p the Jacobian
     criterion then makes R0 the claim that the c×c minors I_c of
-    (∂f_i/∂x_j) lie in no minimal prime of Q, i.e. that
-    dim S/(Q + I_c) < dim S/Q = n - c.  Any other ring is reduced iff
-    φ^-1(Q) ⊆ Q (Q ⊆ φ^-1(Q) always), one kernel-preimage elimination."""
+    (∂f_i/∂x_j) lie in no minimal prime of Q: that the singular locus
+    L = Q + I_c has dim S/L < dim S/Q = n - c.  Any other ring is reduced
+    iff φ^-1(Q) ⊆ Q (Q ⊆ φ^-1(Q) always), one kernel-preimage elimination."""
     if ring.is_polynomial_ring:
         return True
     J = ring.defining_ideal()
     if _is_complete_intersection(J):
-        c, n = len(J.gens), ring.ambient.nvars
-        jac = [[f.derivative(i) for i in range(n)] for f in J.gens]
-        minors = [_det(jac, cols) for cols in itertools.combinations(range(n), c)]
-        return not _covered((J + J.ring.ideal(minors)).groebner, c)
+        return not _covered(_singular_locus(J.ring, J.gens).groebner, len(J.gens))
     return frobenius_kernel_preimage(J) <= J
 
 

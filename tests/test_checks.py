@@ -190,6 +190,53 @@ def test_witness_reverifies(cusp):
         assert reverify_witness(rep, cusp)
 
 
+def test_a_witness_of_two_generators_reverifies_with_their_sum(cusp):
+    # reverify_witness re-presents I = (g_1, g_2) as (g_2, g_1, g_1 + g_2)
+    I, y = cusp.ideal([P(cusp, "x^2"), P(cusp, "x*y")]), P(cusp, "y")
+    reports = [check_principal_intersection(I, y, 1), check_colon(I, y, 1)]
+    assert [(str(rep.witness.separator), rep.witness.side) for rep in reports] == [("x*y^2", "lhs"), ("x", "rhs")]
+    assert all(reverify_witness(rep, cusp) for rep in reports)
+
+
+def test_reverify_rejects_a_passing_report():
+    R = make_ring(2, ("x", "y"))
+    rep = check_colon(R.ideal([P(R, "x")]), P(R, "y"), 1)
+    assert rep.passed and not reverify_witness(rep, R)
+
+
+def test_a_family_of_three_folds_left_to_right(counterexample):
+    C = counterexample
+    family = [C.ideal([P(C, "x")]), C.ideal([P(C, "y")]), C.unit_ideal()]
+    rep = check_intersection_family(family, 1)
+    assert not rep.passed
+    assert (str(rep.witness.separator), rep.witness.side) == ("x^2*z", "rhs")
+    assert reverify_witness(rep, C)
+    R = make_ring(2, ("x", "y"))
+    regular = [R.ideal([P(R, s) for s in gens]) for gens in (["x"], ["y"], ["x+y", "y^2"])]
+    assert check_intersection_family(regular, 1).passed
+    # the unpacked sides are the public left folds ((I ∩ J) ∩ K)^[q] and (I^[q] ∩ J^[q]) ∩ K^[q]
+    for I, J, K in (family, regular):
+        lhs, rhs = _SIDES[INTERSECTION_FAMILY][0](I, (J, K), 1)
+        assert lhs == bracket_power(I.intersect(J).intersect(K), 1)
+        assert rhs == bracket_power(I, 1).intersect(bracket_power(J, 1)).intersect(bracket_power(K, 1))
+
+
+def test_a_family_of_one_ideal_is_refused(counterexample):
+    with pytest.raises(ValueError, match="at least two ideals"):
+        check_intersection_family([counterexample.ideal([P(counterexample, "x")])])
+
+
+def test_a_negative_exponent_is_refused_before_any_work(cusp, monkeypatch):
+    runs = []
+    core = groebner._buchberger_core
+    monkeypatch.setattr(groebner, "_buchberger_core", lambda *a: runs.append(a) or core(*a))
+    I, y = cusp.ideal([P(cusp, "x")]), P(cusp, "y")
+    for chk in (check_colon, check_principal_intersection):
+        with pytest.raises(ValueError, match="^Frobenius exponent must be nonnegative$"):
+            chk(I, y, -1)
+    assert runs == []
+
+
 def test_a_check_runs_in_its_ideals_ring(cusp):
     # the same generators and element: the identities fail in the cusp and
     # hold in F_2[x,y], and each report names the ring its ideal lives in

@@ -40,6 +40,26 @@ def test_parse_polynomial_errors(bad):
         parse_polynomial(bad, R5)
 
 
+def test_parse_polynomial_reads_a_leading_sign():
+    R = PolyRing(PrimeField(3), ("x", "y"))
+    assert parse_polynomial("-x+y", R) == parse_polynomial("2*x + y", R)
+    assert parse_polynomial("+x", R) == parse_polynomial("x", R)
+    assert parse_polynomial("-3", R).is_zero
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("x--y", "unexpected token '-'"),
+        ("(x+y x", "missing closing parenthesis"),
+        ("x+", "unexpected end of expression"),
+    ],
+)
+def test_parse_polynomial_errors_name_the_fault(bad, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_polynomial(bad, R5)
+
+
 def test_tokenizer_names_the_stray_character_and_skips_trailing_space():
     with pytest.raises(ParseError, match=re.escape("unexpected character '$' in 'x $ y'")):
         parse_polynomial("x $ y", R5)

@@ -17,11 +17,12 @@ from ffrob import (
     frobenius_kernel_preimage,
     frobenius_root,
     groebner,
+    ideals,
     is_reduced,
     nilradical_char_p,
     parse_polynomial,
 )
-from ffrob.frobenius import _is_complete_intersection
+from ffrob.frobenius import _is_complete_intersection, closure_search_bound
 
 from oracles import mono_ideal_subset, monomial_antichains
 
@@ -92,6 +93,19 @@ def test_frobenius_root_requires_polynomial_ambient(dual):
         frobenius_root(dual.ideal([P(dual, "x")]), 1)
 
 
+def test_frobenius_exponents_out_of_range_are_refused():
+    R = make_ring(2, ("x", "y"))
+    x = P(R, "x")
+    I = R.ideal([x])
+    for call in (
+        lambda: bracket_power(I, -1),
+        lambda: frobenius_root(I, 0),
+        lambda: closure_search_bound(x, I, -1),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def small_ideals(ring, max_deg=3):
     term = st.tuples(
         st.tuples(st.integers(0, max_deg), st.integers(0, max_deg)), st.just(1)
@@ -150,6 +164,11 @@ def test_kernel_preimage_examples():
     assert frobenius_kernel_preimage(R2.ideal([])) == R2.ideal([])
 
 
+def test_kernel_preimage_requires_polynomial_ambient(dual):
+    with pytest.raises(UnsupportedOperationError):
+        frobenius_kernel_preimage(dual.ideal([P(dual, "x")]))
+
+
 def test_kernel_preimage_contains_input():
     J = R2.ideal([P(R2, "x^2*y"), P(R2, "y^4")])
     K = frobenius_kernel_preimage(J)
@@ -200,6 +219,14 @@ def test_frobenius_closure_examples(dual):
     for q, witness in (("x^2", "x"), ("x^2+y^2", "x+y")):
         R = make_ring(2, ("x", "y", "z", "w"), (q,))
         assert frobenius_closure_test(P(R, witness), R.ideal([]), 1) == (True, 1)
+
+
+def test_closure_search_bound_of_constants_is_0():
+    # every e asks whether c^(p^e) = c lies in I^[p^e]: the same question
+    R = make_ring(3, ("x", "y"))
+    assert closure_search_bound(P(R, "2"), R.ideal([P(R, "1")]), 5) == 0
+    assert closure_search_bound(P(R, "2"), R.ideal([]), 5) == 0
+    assert closure_search_bound(P(R, "x"), R.ideal([]), 5) == 5
 
 
 def test_frobenius_closure_monotone_and_shortcut(dual):
@@ -316,6 +343,17 @@ def test_rings_that_are_not_complete_intersections_take_the_general_path():
         fpure = fedder_is_fpure(R)
         assert calls
     assert fpure == general_answers(R)[1]
+
+
+def test_fedder_on_the_twisted_cubic_computes_no_basis(monkeypatch):
+    # m^[p] is a monomial ideal: the colon lies in it iff every term of
+    # every generator has an exponent of at least p, so no basis is needed
+    R = make_ring(5, XYZW, ("x*z - y^2", "x*w - y*z", "y*w - z^2"))
+    runs = []
+    buchberger = ideals.buchberger
+    monkeypatch.setattr(ideals, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    assert fedder_is_fpure(R) is True
+    assert runs == []
 
 
 def test_a_ci_that_the_kernel_preimage_did_not_finish():

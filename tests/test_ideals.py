@@ -168,6 +168,10 @@ def test_colon_by_zero_runs_no_elimination(monkeypatch):
     assert runs == []
 
 
+def test_colon_by_the_zero_ideal_is_the_unit_ideal(cusp):
+    assert cusp.ideal([P(cusp, "x")]).colon_ideal(cusp.ideal([])).is_unit
+
+
 def test_colon_generators_multiply_back(cusp):
     I = cusp.ideal([P(cusp, "x^2"), P(cusp, "x*y")])
     x = P(cusp, "y")

@@ -51,6 +51,12 @@ def test_frobenius_power_examples():
     assert f.frobenius_power(0) == f
 
 
+def test_frobenius_power_refuses_a_negative_exponent():
+    x, y = xy(R2)
+    with pytest.raises(ValueError, match="^Frobenius exponent must be nonnegative$"):
+        (x + y).frobenius_power(-1)
+
+
 def small_polys(ring, max_terms=3, max_deg=3):
     term = st.tuples(
         st.tuples(*[st.integers(0, max_deg)] * ring.nvars),

@@ -192,3 +192,28 @@ def test_only_the_ring_check_raises_ring_mismatch():
     for path in sorted(_PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sorted(sites) == ["poly.Polynomial.convert", "poly._check_rings"]
+
+
+def test_only_the_singular_locus_builds_a_jacobian():
+    # one Jacobian ideal, `frobenius._singular_locus`: the reducedness test
+    # and the regularity oracle both read it, and nothing else differentiates
+    calls = []  # (called name, where)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + "." + child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                calls.append((f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None), where))
+            visit(child, where)
+
+    for path in _MODULES:
+        if path.name != "poly.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert [where for name, where in calls if name == "derivative"] == ["frobenius._singular_locus"]
+    assert sorted(where for name, where in calls if name == "_singular_locus") == [
+        "checks.jacobian_regularity_oracle",
+        "frobenius.is_reduced",
+    ]
