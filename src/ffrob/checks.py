@@ -14,8 +14,8 @@ extracts an element of the larger side that the smaller side lacks: a
 certificate of non-regularity (for reduced rings).
 A colon by x is an intersection with (x) divided by x, so both element
 identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
-`_principal_sides` eliminates once for both.  Every side is built as lists
-of packed generators in one packing, `_Lift`, and the sides of a passing
+`_principal_sides` eliminates once for both.  Every side is a list of
+packed generators of `ffrob.ideals._Lift`, and the sides of a passing
 check are equal lists: only sides that differ are unpacked into Ideals.
 Exact division by x^q commutes with raising to q, so equal principal
 sides make equal colon sides, and the probe judges the colon on them.
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from operator import add
 
 from .frobenius import _is_complete_intersection, _singular_locus, bracket_power, is_reduced
-from .groebner import _divexact, _eliminated, _intersection_works, poly_divexact
-from .ideals import Ideal, QuotientRing
-from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, _check_rings, _packing, monomial_pool
+from .groebner import poly_divexact
+from .ideals import Ideal, QuotientRing, _Lift
+from .poly import Polynomial, _check_rings, monomial_pool
 
 INTERSECTION_FAMILY = "INTERSECTION_FAMILY"
 PRINCIPAL_INTERSECTION = "PRINCIPAL_INTERSECTION"
@@ -91,42 +91,6 @@ class CheckReport:
         return d
 
 
-class _Lift:
-    """The ideals of R = S/Q as lists of generators, each a polynomial's
-    terms packed under block(1) on t and S's variables.  Free of t, block(1)
-    is the grevlex of S, so they unpack in canonical order; packing is
-    linear, so a q-th power multiplies each packed monomial by q."""
-
-    def __init__(self, R: QuotientRing, e: int):
-        if e < 0:
-            raise ValueError("Frobenius exponent must be nonnegative")
-        self.R, self.e, self.q = R, e, R.field.p ** min(e, 32)  # q as in frobenius_power
-        self.pk = _packing(MonomialOrder.block(1), 1 + R.ambient.nvars)
-        self.Q = self.pack(R.quotient_gens)
-
-    def pack(self, polys) -> list:
-        return [self.pk.terms(((0,) + m, c) for m, c in f.terms) for f in polys]
-
-    def meet(self, a, b) -> list:
-        """(A + Q) ∩ B: Q joins one side, as in `Ideal.intersect`."""
-        field = self.R.field
-        return _eliminated(_intersection_works(self.pk, a + self.Q, b, field.p), field, self.pk)
-
-    def power(self, gens) -> list:
-        """A^[q].  A generator's lead has its largest degree, so only one
-        whose lead's degree times q reaches 2^32 is unpacked, for
-        `Polynomial.frobenius_power` to keep the exponent budget."""
-        pk, q = self.pk, self.q
-        for g in gens:  # the lead's degree: its fields summed into the top one
-            if ((g[0][0] & pk.mask) * pk.wsum >> pk.wtop & _FIELD_MASK) * q >= EXP_LIMIT:
-                self.ideal([g]).gens[0].frobenius_power(self.e)
-        return [[(m * q, c) for m, c in g] for g in gens]
-
-    def ideal(self, gens) -> Ideal:
-        S, unpack = self.R.ambient, self.pk.unpack
-        return Ideal(self.R, [Polynomial(S, tuple([(unpack(m)[1:], c) for m, c in g])) for g in gens])
-
-
 def _principal_sides(I: Ideal, x: Polynomial, e: int):
     """The principal intersection's sides (B, A^[q]) after their `_Lift`, from
     A = I ∩ (x) and B = I^[q] ∩ (x^q), each eliminated once; then x^q, packed."""
@@ -140,9 +104,9 @@ def _principal_sides(I: Ideal, x: Polynomial, e: int):
 
 def _colon_sides(L, principal, Xq):
     """The colon's sides ((A : x)^[q], B : x^q) from the principal's (B, A^[q]):
-    exact division by x^q commutes with raising to q.  (M : 0) = (1)."""
+    exact division by x^q commutes with raising to q."""
     B, Aq = principal
-    return tuple([_divexact(g, Xq[0], L.R.field, L.pk) for g in M] if Xq else [[(0, 1)]] for M in (Aq, B))
+    return L.divide(Aq, Xq), L.divide(B, Xq)
 
 
 def _element_sides(I: Ideal, x: Polynomial, e: int):

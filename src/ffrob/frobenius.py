@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import UnsupportedOperationError
-from .groebner import _eliminate
+from .groebner import _eliminated
 from .ideals import Ideal, QuotientRing
 from .poly import EXP_LIMIT, MonomialOrder, Polynomial, _packing
 
@@ -81,7 +81,8 @@ def frobenius_kernel_preimage(J: Ideal) -> Ideal:
     works = [dict(lift.terms(g.terms)) for g in J.gens]  # packed in the x, the first n
     for x, y in zip(lift.units, lift.units[n:]):  # y_i - x_i^p
         works.append({y: 1, p * x: p - 1})
-    return Ideal(J.ring, _eliminate(S, lift, works))
+    kept = _eliminated(works, S.field, lift)  # free of the x, block(n) is S's grevlex: no sort
+    return Ideal(J.ring, [Polynomial(S, tuple([(lift.unpack(m)[n:], c) for m, c in g])) for g in kept])
 
 
 @dataclass(frozen=True)

@@ -39,12 +39,12 @@ only: it takes work dicts, the field and a packing, and returns the
 minimal basis as heads; callers tail-reduce (`_reduce_basis`) only what
 they keep.  `buchberger` is its one polynomial entry point.
 
-Every elimination (intersections, hence colons, and Frobenius kernel
-preimages) runs the core through `_eliminated` on work dicts that its
-builder packed under block(k) on k + n variables; every intersection's
-works come from `_intersection_works`.  `_eliminated` tail-reduces only
-the basis elements free of the first k variables, as packed terms, and
-`_eliminate` sorts them into the caller's ring.
+`_eliminated` is the one elimination: each builder packs its work dicts
+under block(k) on k + n variables, and it tail-reduces only the basis
+elements free of the first k, returned as packed terms that each caller
+projects.  `_intersect` is the one intersection (hence colon); only the
+public `poly_ideal_intersect` and `elimination_ideal`, which take rings
+of any order, sort what they keep into the caller's ring.
 """
 
 from __future__ import annotations
@@ -299,23 +299,13 @@ def _eliminated(works, field, lift: _Packing) -> list:
     return [[(lm, 1)] + tail for lm, tail in _reduce_basis(kept, field.p, lift)]
 
 
-def _eliminate(ring: PolyRing, lift: _Packing, works):
-    """Generators of (ideal ∩ ring) for the ideal of `works`: the elements
-    of `_eliminated`, on k variables to eliminate followed by those of
-    `ring`, sorted into `ring`."""
-    k = lift.order.nblock
-    return [
-        ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in g])
-        for g in _eliminated(works, ring.field, lift)
-    ]
-
-
-def _intersection_works(lift: _Packing, gens_a, gens_b, p: int) -> list:
-    """The works of t·A + (1-t)·B for A and B given as generators of packed
-    terms free of t, the first variable of lift."""
-    t = lift.units[0]
-    works = [{m + t: c for m, c in f} for f in gens_a]
-    return works + [dict(s for m, c in g for s in ((m + t, -c % p), (m, c))) for g in gens_b]
+def _intersect(lift: _Packing, a, b, field) -> list:
+    """A ∩ B for A and B given as generators of packed terms free of t, the
+    first variable of lift: the elements of `_eliminated` for t·A + (1-t)·B."""
+    t, p = lift.units[0], field.p
+    works = [{m + t: c for m, c in f} for f in a]
+    works += [dict(s for m, c in g for s in ((m + t, -c % p), (m, c))) for g in b]
+    return _eliminated(works, field, lift)
 
 
 def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
@@ -323,7 +313,8 @@ def poly_ideal_intersect(ring: PolyRing, gens_a, gens_b):
     t·A + (1-t)·B, with t the one variable put in front."""
     lift = _packing(MonomialOrder.block(1), 1 + ring.nvars)
     a, b = ([lift.terms(((0,) + m, c) for m, c in f.terms) for f in gens] for gens in (gens_a, gens_b))
-    return _eliminate(ring, lift, _intersection_works(lift, a, b, ring.field.p))
+    meet = _intersect(lift, a, b, ring.field)
+    return [ring.packing.sort(ring, [(lift.unpack(m)[1:], c) for m, c in g]) for g in meet]
 
 
 def elimination_ideal(gens, k: int):
@@ -338,4 +329,5 @@ def elimination_ideal(gens, k: int):
     # the eliminated block stands in for the first k variables, which stay at 0
     pad = (0,) * k
     works = [dict(lift.terms((m[:k] + pad + m[k:], c) for m, c in g.terms)) for g in gens]
-    return _eliminate(ring, lift, works)
+    kept = _eliminated(works, ring.field, lift)
+    return [ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in g]) for g in kept]

@@ -8,18 +8,22 @@ with Q.  Intersections of lifts correspond exactly to intersections
 downstairs, so all the work happens in S via Groebner bases.  I ⊆ J
 needs only J's reduced basis, cached per `Ideal`: every generator of I
 must reduce to zero by it, and Q lies in both lifts.  Equality compares
-the two reduced bases.  An intersection joins Q to one side only, and a
-colon is an intersection followed by exact division (Cox, Little &
-O'Shea, section 4.4).  A polynomial or an ideal from another ring is
-refused by `_check_rings` before any basis is computed.
+the two reduced bases.  `_Lift` is the one intersection and colon, on
+packed generators: Q joins one side of an intersection, and a colon is an
+intersection followed by exact division (Cox, Little & O'Shea, section
+4.4).  `Ideal` and `ffrob.checks` unpack only its results.  A polynomial
+or an ideal from another ring is refused by `_check_rings` before any
+basis is computed.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import FFrobError
 from .field import PrimeField
-from .groebner import buchberger, normal_form, poly_divexact, poly_ideal_intersect
-from .poly import Polynomial, PolyRing, _check_rings
+from .groebner import _divexact, _intersect, buchberger, normal_form
+from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, PolyRing, _check_rings, _packing
 
 
 class QuotientRing:
@@ -121,35 +125,27 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens)
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I ∩ J via the auxiliary-variable elimination t·I + (1-t)·J.
-
-        Q joins I's side only: Q ⊆ I + Q, so by the modular law
-        (I+Q) ∩ (J+Q) = ((I+Q) ∩ J) + Q, and the result's lift adds Q
-        back."""
+        """I ∩ J via the auxiliary-variable elimination t·I + (1-t)·J.  Q
+        joins I's side only: Q ⊆ I + Q, so by the modular law (I+Q) ∩ (J+Q)
+        = ((I+Q) ∩ J) + Q, and the result's lift adds Q back."""
         _check_rings(self.ring, (other,))
-        lift = list(self.gens) + list(self.ring.quotient_gens)
-        return Ideal(self.ring, poly_ideal_intersect(self.ring.ambient, lift, list(other.gens)))
+        L = _Lift(self.ring)
+        return L.ideal(L.meet(L.pack(self.gens), L.pack(other.gens)))
 
     def colon(self, x: Polynomial) -> "Ideal":
-        """(I : x) = {f : f·x ∈ I} as an ideal of R: each generator of
-        I ∩ (x) divided exactly by x.  x = 0 yields the unit ideal; for
-        x ∈ Q, x itself is in I ∩ (x)."""
-        _check_rings(self.ring.ambient, (x,))
-        if x.is_zero:
-            return self.ring.unit_ideal()
-        meet = self.intersect(self.ring.ideal([x]))
-        return Ideal(self.ring, [poly_divexact(g, x) for g in meet.gens])
+        """(I : x) = {f : f·x ∈ I} as an ideal of R, the colon by (x): x = 0
+        yields the unit ideal; for x ∈ Q, x itself is in I ∩ (x)."""
+        return self.colon_ideal(self.ring.ideal([x]))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
-        """(I : J) = ∩_j (I : g_j) over the generators of J."""
+        """(I : J) = ∩_j (I : g_j) over the generators of J, each (I : g_j)
+        met with the fold so far as it is made, on packed generators."""
         _check_rings(self.ring, (other,))
         if not other.gens:
             return self.ring.unit_ideal()
-        result = None
-        for g in other.gens:
-            piece = self.colon(g)
-            result = piece if result is None else result.intersect(piece)
-        return result
+        L = _Lift(self.ring)
+        gens = L.pack(self.gens)
+        return L.ideal(reduce(L.meet, (L.divide(L.meet(gens, [X]), [X]) for X in L.pack(other.gens))))
 
     def __le__(self, other: "Ideal") -> bool:
         """I ⊆ J; one presentation is one ideal, so equal generators need no basis."""
@@ -167,3 +163,48 @@ class Ideal:
     def __repr__(self):
         return "(" + ", ".join(str(g) for g in self.groebner) + ")"
 
+
+class _Lift:
+    """The ideals of R = S/Q as lists of generators, each a polynomial's
+    terms packed under block(1) on t and S's variables.  Free of t, block(1)
+    is the grevlex of S, so they unpack in canonical order; packing is
+    linear, so a q-th power, q = p^e, multiplies each packed monomial by q."""
+
+    def __init__(self, R: QuotientRing, e: int = 0):
+        if e < 0:
+            raise ValueError("Frobenius exponent must be nonnegative")
+        self.R, self.e, self.q = R, e, R.field.p ** min(e, 32)  # q as in frobenius_power
+        self.pk = _packing(MonomialOrder.block(1), 1 + R.ambient.nvars)
+        self.Q = self.pack(R.quotient_gens)
+
+    def pack(self, polys) -> list:
+        return [self.pk.terms(((0,) + m, c) for m, c in f.terms) for f in polys]
+
+    def meet(self, a, b) -> list:
+        """(A + Q) ∩ B: Q joins one side, as in `Ideal.intersect`."""
+        return _intersect(self.pk, a + self.Q, b, self.R.field)
+
+    def divide(self, gens, X) -> list:
+        """Each generator divided exactly by X's one generator, or ValueError
+        unless it divides them all; (M : 0) = (1) for an empty X."""
+        if not X:
+            return [[(0, 1)]]
+        quots = [_divexact(g, X[0], self.R.field, self.pk) for g in gens]
+        if None in quots:
+            f, x = self.ideal([gens[quots.index(None)], X[0]]).gens
+            raise ValueError(f"{f} is not an exact multiple of {x}")
+        return quots
+
+    def power(self, gens) -> list:
+        """A^[q].  A generator's lead has its largest degree, so only one
+        whose lead's degree times q reaches 2^32 is unpacked, for
+        `Polynomial.frobenius_power` to keep the exponent budget."""
+        pk, q = self.pk, self.q
+        for g in gens:  # the lead's degree: its fields summed into the top one
+            if ((g[0][0] & pk.mask) * pk.wsum >> pk.wtop & _FIELD_MASK) * q >= EXP_LIMIT:
+                self.ideal([g]).gens[0].frobenius_power(self.e)
+        return [[(m * q, c) for m, c in g] for g in gens]
+
+    def ideal(self, gens) -> Ideal:
+        S, unpack = self.R.ambient, self.pk.unpack
+        return Ideal(self.R, [Polynomial(S, tuple([(unpack(m)[1:], c) for m, c in g])) for g in gens])

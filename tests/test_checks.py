@@ -47,7 +47,7 @@ from ffrob.checks import (
     ProbeReport,
     _structured_inputs,
 )
-from ffrob import checks, groebner, poly
+from ffrob import checks, groebner, ideals, poly
 from ffrob.poly import monomial_pool
 
 from oracles import CuspSemigroup
@@ -705,7 +705,7 @@ def test_a_passing_probe_divides_nothing(monkeypatch):
         divided.append(args)
         return divexact(*args)
 
-    for module in (groebner, checks):
+    for module in (groebner, ideals):
         monkeypatch.setattr(module, "_divexact", counting)
     rep = regularity_probe(QuotientRing(F2, ("x", "y")), SamplerConfig(seed=1, count=20))
     assert (rep.verdict, divided) == (NO_WITNESS_FOUND, [])

@@ -21,6 +21,7 @@ from ffrob import (
     is_reduced,
     nilradical_char_p,
     parse_polynomial,
+    poly,
 )
 from ffrob.frobenius import _is_complete_intersection, closure_search_bound
 
@@ -255,14 +256,14 @@ def _record_eliminations(mp):
     """Count every elimination from here on: the kernel preimage's own, and
     the intersections' under the Fedder colon."""
     calls = []
-    eliminate = groebner._eliminate
+    eliminated = groebner._eliminated
 
     def counting(*args):
         calls.append(args)
-        return eliminate(*args)
+        return eliminated(*args)
 
-    mp.setattr(groebner, "_eliminate", counting)
-    mp.setattr(frobenius, "_eliminate", counting)
+    mp.setattr(groebner, "_eliminated", counting)
+    mp.setattr(frobenius, "_eliminated", counting)
     return calls
 
 
@@ -292,8 +293,8 @@ def test_a_complete_intersection_runs_no_elimination(monkeypatch, cusp, dual):
     def refuse(*args):
         raise AssertionError("eliminated on a complete intersection")
 
-    monkeypatch.setattr(groebner, "_eliminate", refuse)
-    monkeypatch.setattr(frobenius, "_eliminate", refuse)
+    monkeypatch.setattr(groebner, "_eliminated", refuse)
+    monkeypatch.setattr(frobenius, "_eliminated", refuse)
     rings = [
         (make_ring(5, XYZW, ("x*y - z*w", "x^2 - y*w")), (True, False)),
         (make_ring(5, ("x", "y", "z"), ("x^2",)), (False, False)),
@@ -354,6 +355,26 @@ def test_fedder_on_the_twisted_cubic_computes_no_basis(monkeypatch):
     monkeypatch.setattr(ideals, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
     assert fedder_is_fpure(R) is True
     assert runs == []
+
+
+def test_fedder_and_reducedness_stay_packed_between_steps(monkeypatch):
+    # Ideal's intersections and colons meet and divide packed generators and
+    # unpack once, unsorted: Fedder's colon on the twisted cubic packs its
+    # three generators of Q^[p] and three of Q once each, and neither test
+    # sorts a polynomial once the ring is built
+    R = make_ring(5, XYZW, ("x*z - y^2", "x*w - y*z", "y*w - z^2"))
+    counts = {"sort": 0, "terms": 0}
+    for name in counts:
+
+        def counting(*args, _original=getattr(poly._Packing, name), _name=name):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(poly._Packing, name, counting)
+    assert fedder_is_fpure(R) is True
+    assert counts == {"sort": 0, "terms": 6}
+    assert is_reduced(R) is True
+    assert counts["sort"] == 0
 
 
 def test_a_ci_that_the_kernel_preimage_did_not_finish():

@@ -19,6 +19,7 @@ from ffrob import (
 )
 from ffrob import groebner
 from ffrob.groebner import poly_divexact
+from ffrob.ideals import _Lift
 
 from oracles import CuspSemigroup
 
@@ -248,6 +249,47 @@ def test_one_sided_quotient_matches_two_sided_formulas(case):
     assert I.intersect(J) == two_sided
     meet = poly_ideal_intersect(S, list(I.gens) + q, [x])
     assert I.colon(x) == Ideal(R, [poly_divexact(g, x) for g in meet])
+
+
+@st.composite
+def three_ideal_case(draw):
+    """A `quotient_case` whose J is joined by a third ideal, so that J
+    often has three or four generators."""
+    R, I, J, x = draw(quotient_case())
+    S = R.ambient
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1)).filter(any)
+    poly = st.dictionaries(exps, st.integers(1, S.field.p - 1), min_size=1, max_size=2).map(S.poly)
+    return R, I, J + R.ideal(draw(st.lists(poly, min_size=1, max_size=2))), x
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(three_ideal_case())
+def test_packed_operations_match_the_polynomial_path(case):
+    # intersect, colon and colon_ideal meet and divide packed generators and
+    # unpack once; they give the generators of the polynomial path, in order:
+    # each intersection unpacked and sorted, each quotient by poly_divexact,
+    # and the colon by J folded over J's generators left to right
+    R, I, J, x = case
+    S, q = R.ambient, list(R.quotient_gens)
+
+    def colon(g):
+        return [poly_divexact(h, g) for h in poly_ideal_intersect(S, list(I.gens) + q, [g])]
+
+    assert I.intersect(J).gens == tuple(poly_ideal_intersect(S, list(I.gens) + q, list(J.gens)))
+    assert I.colon(x).gens == tuple(colon(x))
+    fold = colon(J.gens[0])
+    for g in J.gens[1:]:
+        fold = poly_ideal_intersect(S, fold + q, colon(g))
+    assert I.colon_ideal(J).gens == tuple(fold)
+
+
+def test_a_colon_refuses_a_division_that_is_not_exact():
+    # the packed division keeps poly_divexact's check: x does not divide x + 1
+    R = ring2()
+    L = _Lift(R)
+    x = R.ambient.variable(0)
+    with pytest.raises(ValueError, match=r"^x \+ 1 is not an exact multiple of x$"):
+        L.divide(L.pack([x + R.ambient.one()]), L.pack([x]))
 
 
 def test_containment_across_rings_is_refused(cusp):

@@ -66,9 +66,10 @@ def test_every_exported_name_is_used_in_the_package():
     }
     unused = {name for name in ffrob.__all__ if used[name] == _names(defs[name])[name]}
     assert unused == {
-        # perfbench's tracer spans it until ROADMAP item 4 drops the span
-        # and the function
+        # perfbench's tracer spans them until ROADMAP item 4 drops the spans
+        # and the functions
         "elimination_ideal",
+        "poly_ideal_intersect",
         # ROADMAP item 1b gives each FAIL witness a `reverified` field from it
         "reverify_witness",
     }
@@ -109,6 +110,9 @@ def test_every_public_function_and_method_is_read_in_the_package():
         "Polynomial.mul_term",
         "s_polynomial",
         "elimination_ideal",
+        # perfbench's tracer spans it until ROADMAP item 4 drops the span,
+        # as for elimination_ideal
+        "poly_ideal_intersect",
         # derandomized tests call it, and an edit to their bodies would
         # change the inputs they draw
         "Polynomial.convert",
@@ -216,4 +220,43 @@ def test_only_the_singular_locus_builds_a_jacobian():
     assert sorted(where for name, where in calls if name == "_singular_locus") == [
         "checks.jacobian_regularity_oracle",
         "frobenius.is_reduced",
+    ]
+
+
+def _calls():
+    """(called name, where) for every call in the package's modules, where
+    being module.function or module.Class.method."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, where + "." + child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                calls.append((f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None), where))
+            visit(child, where)
+
+    for path in _MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return calls
+
+
+def test_one_packed_ideal_layer():
+    # one intersection, `groebner._intersect`, and one exact division,
+    # `_divexact`: `ideals._Lift` keeps both packed for Ideal and the checks,
+    # and the public polynomial functions are their only other entry points;
+    # `_eliminated` is the one elimination, and each caller projects its result
+    calls = _calls()
+
+    def sites(name):
+        return sorted(where for called, where in calls if called == name)
+
+    assert sites("_intersect") == ["groebner.poly_ideal_intersect", "ideals._Lift.meet"]
+    assert sites("_divexact") == ["groebner.poly_divexact", "ideals._Lift.divide"]
+    assert sites("_eliminated") == [
+        "frobenius.frobenius_kernel_preimage",
+        "groebner._intersect",
+        "groebner.elimination_ideal",
     ]
