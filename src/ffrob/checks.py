@@ -12,13 +12,14 @@ that builds its two sides and to its larger side; the checkers and
 `reverify_witness` both read it.  When the identity fails, a checker
 extracts an element of the larger side that the smaller side lacks: a
 certificate of non-regularity (for reduced rings).
-A colon by x is an intersection with (x) divided by x, so both element
-identities on one (I, x, e) derive from I ∩ (x) and I^[q] ∩ (x^q), which
-`_principal_sides` eliminates once for both.  Every side is a list of
-packed generators of `ffrob.ideals._Lift`, and the sides of a passing
-check are equal lists: only sides that differ are unpacked into Ideals.
-Exact division by x^q commutes with raising to q, so equal principal
-sides make equal colon sides, and the probe judges the colon on them.
+One left fold, `_fold`, builds the family's sides and the principal
+intersection's: the family against (x), with its sides swapped.  A colon
+by x is an intersection with (x) divided by x, so both element identities
+on one (I, x, e) derive from the principal sides, built once for both.
+Every side is a list of packed generators of `ffrob.ideals._Lift`; the
+sides of a passing check are equal lists, and only sides that differ are
+unpacked into Ideals.  Exact division by x^q commutes with raising to q,
+so equal principal sides make equal colon sides: the probe divides neither.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 
 from .frobenius import _is_complete_intersection, _singular_locus, bracket_power, is_reduced
@@ -91,42 +93,40 @@ class CheckReport:
         return d
 
 
+def _fold(L, gens, family):
+    """((A ∩ B_1 ∩ ...)^[q], A^[q] ∩ B_1^[q] ∩ ...) for A = gens and the B_i of family,
+    packed by L, left to right; each B_i is raised before any core run, to refuse an overflow."""
+    powers = [L.power(B) for B in family]
+    return L.power(reduce(L.meet, family, gens)), reduce(L.meet, powers, L.power(gens))
+
+
 def _principal_sides(I: Ideal, x: Polynomial, e: int):
-    """The principal intersection's sides (B, A^[q]) after their `_Lift`, from
-    A = I ∩ (x) and B = I^[q] ∩ (x^q), each eliminated once; then x^q, packed."""
+    """The principal intersection's sides (I^[q] ∩ (x^q), (I ∩ (x))^[q]) after
+    `_Lift`: the family against (x), swapped; then x, packed."""
     L = _Lift(I.ring, e)
     _check_rings(I.ring.ambient, (x,))
-    gens, X = L.pack(I.gens), L.pack([] if x.is_zero else [x])
-    Xq = L.power(X)
-    A = L.meet(gens, X)
-    return L, (L.meet(L.power(gens), Xq), L.power(A)), Xq
+    X = L.pack([] if x.is_zero else [x])
+    return L, _fold(L, L.pack(I.gens), [X])[::-1], X
 
 
-def _colon_sides(L, principal, Xq):
+def _colon_sides(L, principal, X):
     """The colon's sides ((A : x)^[q], B : x^q) from the principal's (B, A^[q]):
     exact division by x^q commutes with raising to q."""
-    B, Aq = principal
+    (B, Aq), Xq = principal, L.power(X)
     return L.divide(Aq, Xq), L.divide(B, Xq)
 
 
 def _element_sides(I: Ideal, x: Polynomial, e: int):
     """Both element identities' sides after their `_Lift`: principal intersection's, colon's."""
-    L, principal, Xq = _principal_sides(I, x, e)
-    return L, principal, _colon_sides(L, principal, Xq)
+    L, principal, X = _principal_sides(I, x, e)
+    return L, principal, _colon_sides(L, principal, X)
 
 
 def _intersection_family_sides(I: Ideal, family, e: int):
     """(I ∩ J_1 ∩ ...)^[q] and I^[q] ∩ J_1^[q] ∩ ..., folding left to right, after `_Lift`."""
     L = _Lift(I.ring, e)
     _check_rings(I.ring, family)
-    gens = meet = L.pack(I.gens)
-    for J in family:
-        meet = L.meet(meet, L.pack(J.gens))
-    lhs = L.power(meet)
-    rhs = L.power(gens)
-    for J in family:
-        rhs = L.meet(rhs, L.power(L.pack(J.gens)))
-    return L, (lhs, rhs)
+    return L, _fold(L, L.pack(I.gens), [L.pack(J.gens) for J in family])
 
 
 # identity -> (builder of its `_Lift` and two sides from (I, operand, e),
@@ -159,9 +159,9 @@ def _check(identity, I, operand, e) -> CheckReport:
 
 def _element_checks(I, x, e):
     """Principal-intersection, then colon report on one (I, x, e)."""
-    L, principal, Xq = _principal_sides(I, x, e)
+    L, principal, X = _principal_sides(I, x, e)
     yield _judge(PRINCIPAL_INTERSECTION, L, principal, I, x, e)
-    colon = principal if principal[0] == principal[1] else _colon_sides(L, principal, Xq)
+    colon = principal if principal[0] == principal[1] else _colon_sides(L, principal, X)
     yield _judge(COLON, L, colon, I, x, e)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import UnsupportedOperationError
 from .groebner import _eliminated
 from .ideals import Ideal, QuotientRing
-from .poly import EXP_LIMIT, MonomialOrder, Polynomial, _packing
+from .poly import EXP_LIMIT, MonomialOrder, Polynomial, _frobenius_q, _packing
 
 
 def bracket_power(I: Ideal, e: int) -> Ideal:
@@ -32,8 +32,7 @@ def bracket_power(I: Ideal, e: int) -> Ideal:
     Generating-set independence is a theorem in characteristic p (the
     Frobenius is additive), so only the presented generators are raised;
     Q rides along through the lift as usual."""
-    if e < 0:
-        raise ValueError("Frobenius exponent must be nonnegative")
+    _frobenius_q(I.ring.field.p, e)  # refuses e < 0, even for the zero ideal
     return Ideal(I.ring, [g.frobenius_power(e) for g in I.gens])
 
 
@@ -50,9 +49,7 @@ def frobenius_root(I: Ideal, e: int) -> Ideal:
         )
     if e < 1:
         raise ValueError("Frobenius root exponent must be at least 1")
-    # every exponent is below 2^32 <= p^32, so for e >= 32 the quotients
-    # are 0 and the remainders the exponents: the root no longer depends on e
-    q = I.ring.field.p ** min(e, 32)
+    q = _frobenius_q(I.ring.field.p, e)
     pieces = {}
     for f in I.gens:
         per_mu = {}

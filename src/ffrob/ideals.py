@@ -23,7 +23,7 @@ from functools import reduce
 from .errors import FFrobError
 from .field import PrimeField
 from .groebner import _divexact, _intersect, buchberger, normal_form
-from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, PolyRing, _check_rings, _packing
+from .poly import _FIELD_MASK, EXP_LIMIT, MonomialOrder, Polynomial, PolyRing, _check_rings, _frobenius_q, _packing
 
 
 class QuotientRing:
@@ -171,9 +171,7 @@ class _Lift:
     linear, so a q-th power, q = p^e, multiplies each packed monomial by q."""
 
     def __init__(self, R: QuotientRing, e: int = 0):
-        if e < 0:
-            raise ValueError("Frobenius exponent must be nonnegative")
-        self.R, self.e, self.q = R, e, R.field.p ** min(e, 32)  # q as in frobenius_power
+        self.R, self.e, self.q = R, e, _frobenius_q(R.field.p, e)
         self.pk = _packing(MonomialOrder.block(1), 1 + R.ambient.nvars)
         self.Q = self.pack(R.quotient_gens)
 

@@ -262,6 +262,14 @@ def monomial_pool(S: PolyRing, max_degree: int) -> tuple:
     return tuple(pool)
 
 
+def _frobenius_q(p: int, e: int) -> int:
+    """p^e for a Frobenius exponent e >= 0, with e capped at 32: every exponent
+    is below 2^32 <= p^32, so the cap changes no answer and builds no huge p^e."""
+    if e < 0:
+        raise ValueError("Frobenius exponent must be nonnegative")
+    return p ** min(e, 32)
+
+
 def _overflow(exps):
     """Raise for the first exponent of exps at or past EXP_LIMIT."""
     e = next(e for e in exps if e >= EXP_LIMIT)
@@ -337,12 +345,8 @@ class Polynomial:
 
     def frobenius_power(self, e: int) -> "Polynomial":
         """f^(p^e): scale every exponent by p^e, coefficients fixed (c^p = c)."""
-        if e < 0:
-            raise ValueError("Frobenius exponent must be nonnegative")
         p = self.ring.field.p
-        # a nonzero exponent times p^32 is already at least 2^32, so capping
-        # e at 32 changes no result and never builds a huge p^e
-        q = p ** min(e, 32)
+        q = _frobenius_q(p, e)
         out = []
         for m, c in self.terms:
             if m and max(m) * q >= EXP_LIMIT:

@@ -231,9 +231,16 @@ def test_a_negative_exponent_is_refused_before_any_work(cusp, monkeypatch):
     core = groebner._buchberger_core
     monkeypatch.setattr(groebner, "_buchberger_core", lambda *a: runs.append(a) or core(*a))
     I, y = cusp.ideal([P(cusp, "x")]), P(cusp, "y")
-    for chk in (check_colon, check_principal_intersection):
+    # the zero ideal has no generator to raise, and a family check raises
+    # none before its eliminations: both refuse e = -1 themselves
+    for call in (
+        lambda: check_colon(I, y, -1),
+        lambda: check_principal_intersection(I, y, -1),
+        lambda: check_intersection_family([I, cusp.ideal([y])], -1),
+        lambda: bracket_power(cusp.ideal([]), -1),
+    ):
         with pytest.raises(ValueError, match="^Frobenius exponent must be nonnegative$"):
-            chk(I, y, -1)
+            call()
     assert runs == []
 
 

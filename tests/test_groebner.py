@@ -311,7 +311,7 @@ def _is_canonical(f):
 
 def test_eliminations_build_generators_without_re_sorting(core_calls):
     # the builders pack their generators once and hand work dicts to
-    # _eliminate: no ring, canonicalizing, multiplying or tuple keys on the
+    # _eliminated: no ring, canonicalizing, multiplying or tuple keys on the
     # way, and every polynomial out is in canonical order
     S = QuotientRing(PrimeField(3), ("x", "y", "z"))
     x, y, z = S.ambient.variables()

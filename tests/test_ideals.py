@@ -95,6 +95,7 @@ def test_equality_examples(counterexample):
     R = ring2()
     assert R.ideal([P(R, "x"), P(R, "y")]) == R.ideal([P(R, "x+y"), P(R, "y")])
     assert R.ideal([P(R, "x")]) != R.ideal([P(R, "x^2")])
+    assert (R.ideal([P(R, "x")]) == P(R, "x")) is False
     # ((x) ∩ (y))^[2] = 0 in the counterexample ring
     meet = counterexample.ideal([P(counterexample, "x")]).intersect(
         counterexample.ideal([P(counterexample, "y")])

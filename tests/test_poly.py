@@ -107,6 +107,8 @@ def test_ring_mismatch_raises():
     x3, _ = xy(R3)
     with pytest.raises(RingMismatchError):
         _ = x2 + x3
+    with pytest.raises(RingMismatchError):
+        x2.convert(PolyRing(F2, ("x", "z")))
 
 
 def test_exponent_overflow():
@@ -239,3 +241,22 @@ def test_block_order_eliminates_first_variables():
     order = MonomialOrder.block(1)
     # any monomial containing the first variable beats any without it
     assert _greater(order, (1, 0, 0), (0, 5, 5))
+
+
+def test_orders_and_rings_refuse_malformed_arguments():
+    # `ffor` refuses duplicate names before it builds a ring, so only a
+    # library caller reaches the ring's own check
+    for build, message in (
+        (lambda: MonomialOrder("foo"), "^unknown order kind 'foo'$"),
+        (lambda: MonomialOrder.block(-1), "^block size must be nonnegative$"),
+        (lambda: PolyRing(F2, ("x", "x")), r"^duplicate variable names in \('x', 'x'\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+def test_scaling_by_zero_is_the_zero_polynomial():
+    x, y = xy(R3)
+    zero = (x * y + x).scale(0)
+    assert zero == R3.zero() and zero.is_zero
+    assert zero.total_degree() == -1

@@ -9,6 +9,8 @@ import pytest
 
 import ffrob
 
+from conftest import CAP_S
+
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ffrob"
 _MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -201,21 +203,7 @@ def test_only_the_ring_check_raises_ring_mismatch():
 def test_only_the_singular_locus_builds_a_jacobian():
     # one Jacobian ideal, `frobenius._singular_locus`: the reducedness test
     # and the regularity oracle both read it, and nothing else differentiates
-    calls = []  # (called name, where)
-
-    def visit(node, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                visit(child, where + "." + child.name)
-                continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                calls.append((f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None), where))
-            visit(child, where)
-
-    for path in _MODULES:
-        if path.name != "poly.py":
-            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    calls = _calls()
     assert [where for name, where in calls if name == "derivative"] == ["frobenius._singular_locus"]
     assert sorted(where for name, where in calls if name == "_singular_locus") == [
         "checks.jacobian_regularity_oracle",
@@ -260,3 +248,39 @@ def test_one_packed_ideal_layer():
         "groebner._intersect",
         "groebner.elimination_ideal",
     ]
+
+
+def test_one_frobenius_exponent_and_one_intersection_fold():
+    # one rule for q = p^e, `poly._frobenius_q`: it alone refuses e < 0 and
+    # caps e at 32; one left fold, `checks._fold`, builds the sides of the
+    # family identity and of the principal one, the family against (x)
+    sources = [path.read_text(encoding="utf-8") for path in _MODULES]
+    assert sum(src.count("Frobenius exponent must be nonnegative") for src in sources) == 1
+    assert sum(src.count("min(e, 32)") for src in sources) == 1
+    calls = _calls()
+
+    def sites(name):
+        return sorted(where for called, where in calls if called == name)
+
+    assert sites("_frobenius_q") == [
+        "frobenius.bracket_power",
+        "frobenius.frobenius_root",
+        "ideals._Lift.__init__",
+        "poly.Polynomial.frobenius_power",
+    ]
+    assert sites("_fold") == ["checks._intersection_family_sides", "checks._principal_sides"]
+
+
+def test_the_time_cap_is_above_every_subprocess_timeout():
+    # conftest's per-test cap must not end a test before its own subprocess
+    # timeout can: every `timeout=` in the suite is a literal below CAP_S
+    timeouts = [
+        (path.name, ast.literal_eval(kw.value))
+        for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "timeout"
+    ]
+    assert timeouts
+    assert [(name, t) for name, t in timeouts if not t < CAP_S] == []
