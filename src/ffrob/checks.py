@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import add
 
@@ -44,16 +44,17 @@ SINGULAR = "SINGULAR"
 UNSUPPORTED = "UNSUPPORTED"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", (
+    "I",
+    "operand",  # the element x, or the family's other ideals
+    "e",
+    "separator",
+    "side",  # "lhs" or "rhs": where the separator lives
+))):
     """Violation certificate: the inputs plus an element of the larger
     side of the identity that the smaller side lacks."""
 
-    I: Ideal
-    operand: Polynomial | tuple  # the element x, or the family's other ideals
-    e: int
-    separator: Polynomial
-    side: str  # "lhs" or "rhs": where the separator lives
+    __slots__ = ()
 
     def to_dict(self):
         family = isinstance(self.operand, tuple)
@@ -69,13 +70,14 @@ class Witness:
         return d
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    identity: str
-    ring: str
-    trials: int
-    outcome: str  # "PASS" | "FAIL"
-    witness: Witness | None = None
+class CheckReport(namedtuple("CheckReport", (
+    "identity",
+    "ring",
+    "trials",
+    "outcome",  # "PASS" | "FAIL"
+    "witness",  # a Witness, or None
+), defaults=(None,))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -255,13 +257,10 @@ def jacobian_regularity_oracle(ring: QuotientRing) -> str:
     return REGULAR if _singular_locus(ring.cover(), gb).is_unit else SINGULAR
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 1
-    max_degree: int = 3
-    max_terms: int = 3
-    max_generators: int = 2
-    count: int = 100
+class SamplerConfig(namedtuple(
+    "SamplerConfig", ("seed", "max_degree", "max_terms", "max_generators", "count"), defaults=(1, 3, 3, 2, 100)
+)):
+    __slots__ = ()
 
 
 def _rng(config: SamplerConfig, position: int, tag: str) -> random.Random:
@@ -294,15 +293,16 @@ NOT_REGULAR = "NOT_REGULAR"
 NO_WITNESS_FOUND = "NO_WITNESS_FOUND"
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    verdict: str  # NOT_REGULAR | NO_WITNESS_FOUND
-    ring: str
-    reduced: bool
-    trials: int
-    structured_checks: int
-    first_failure: CheckReport | None = None
-    note: str = ""
+class ProbeReport(namedtuple("ProbeReport", (
+    "verdict",  # NOT_REGULAR | NO_WITNESS_FOUND
+    "ring",
+    "reduced",
+    "trials",
+    "structured_checks",
+    "first_failure",  # a CheckReport, or None
+    "note",
+), defaults=(None, ""))):
+    __slots__ = ()
 
     def to_dict(self):
         d = {
@@ -356,9 +356,12 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
     when the ring is reduced; finding nothing is reported as exactly
     that, never as a regularity proof.  Raises ValueError before any work
     for an e_list that is empty or holds an e < 1, for a negative count,
-    or if no check would run."""
-    if config.count < 0:
-        raise ValueError(f"the probe needs a trial count >= 0, got {config.count}")
+    a sampler setting that cannot draw, or if no check would run."""
+    # a trial draws 1..max_generators generators of 1..max_terms terms from
+    # the monomials of degree <= max_degree
+    for name, least in (("count", 0), ("max_degree", 0), ("max_terms", 1), ("max_generators", 1)):
+        if getattr(config, name) < least:
+            raise ValueError(f"the probe needs {name} >= {least}, got {getattr(config, name)}")
     # a huge range is never walked: its least element is one of its ends
     e_list = e_list if isinstance(e_list, range) else tuple(e_list)
     ends = (*e_list[:1], *e_list[-1:]) if isinstance(e_list, range) else e_list

@@ -25,7 +25,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .checks import (
     SamplerConfig,
@@ -134,19 +134,12 @@ _PROBE_FLAGS = {
 }
 
 
-@dataclass
-class Command:
-    line: int
-    name: str
-    args: list
+class Command(namedtuple("Command", ("line", "name", "args"))):
+    __slots__ = ()
 
 
-@dataclass
-class SessionSpec:
-    ring: QuotientRing
-    ideals: dict
-    elems: dict
-    commands: list = dc_field(default_factory=list)
+class SessionSpec(namedtuple("SessionSpec", ("ring", "ideals", "elems", "commands"))):
+    __slots__ = ()
 
 
 def _split_list(text: str):
@@ -184,7 +177,7 @@ def parse_session(text: str) -> SessionSpec:
             if head == "ring":
                 if spec is not None:
                     raise ParseError("duplicate ring declaration", lineno)
-                spec = SessionSpec(_parse_ring(line, lineno), {}, {})
+                spec = SessionSpec(_parse_ring(line, lineno), {}, {}, [])
             elif spec is None:
                 raise ParseError("the ring must be declared first", lineno)
             elif head in _DECLARATIONS:

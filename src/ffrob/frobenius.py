@@ -18,7 +18,7 @@ Every other ring keeps the eliminations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import UnsupportedOperationError
 from .groebner import _eliminated
@@ -82,13 +82,14 @@ def frobenius_kernel_preimage(J: Ideal) -> Ideal:
     return Ideal(J.ring, [Polynomial(S, tuple([(lift.unpack(m)[n:], c) for m, c in g])) for g in kept])
 
 
-@dataclass(frozen=True)
-class NilradicalResult:
+class NilradicalResult(namedtuple("NilradicalResult", (
+    "ideal",
+    "steps",
+    "q",  # p^steps; the nilradical's bracket power at q lands in Q
+))):
     """Radical of Q plus the stabilization data of the kernel iteration."""
 
-    ideal: Ideal
-    steps: int
-    q: int  # p^steps; the nilradical's bracket power at q lands in Q
+    __slots__ = ()
 
 
 def nilradical_char_p(ring: QuotientRing) -> NilradicalResult:

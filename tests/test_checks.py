@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 import importlib.util
@@ -165,14 +164,14 @@ def test_reverify_rejects_a_separator_in_both_sides(cusp, counterexample):
     assert [rep.identity for rep, _ in reports] == [PRINCIPAL_INTERSECTION, COLON, INTERSECTION_FAMILY]
     for rep, ring in reports:
         assert not rep.passed and reverify_witness(rep, ring)
-        zero = dataclasses.replace(rep.witness, separator=ring.ambient.zero())
-        assert not reverify_witness(dataclasses.replace(rep, witness=zero), ring)
+        zero = rep.witness._replace(separator=ring.ambient.zero())
+        assert not reverify_witness(rep._replace(witness=zero), ring)
 
 
 def test_reverify_rejects_an_unknown_identity(cusp):
     rep = check_colon(cusp.ideal([P(cusp, "x")]), P(cusp, "y"), 1)
     with pytest.raises(ValueError, match="unknown identity"):
-        reverify_witness(dataclasses.replace(rep, identity="NO_SUCH_IDENTITY"), cusp)
+        reverify_witness(rep._replace(identity="NO_SUCH_IDENTITY"), cusp)
 
 
 def test_check2_degenerate_family(counterexample):
@@ -630,6 +629,21 @@ def test_a_negative_trial_count_raises_before_any_work(names, count, monkeypatch
     with pytest.raises(ValueError, match="count >= 0"):
         regularity_probe(QuotientRing(F2, names), SamplerConfig(count=count))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "setting", [{"max_degree": -1}, {"max_terms": 0}, {"max_generators": 0}], ids=lambda s: next(iter(s))
+)
+def test_a_sampler_setting_that_cannot_draw_raises_before_any_work(setting, monkeypatch):
+    # such a setting failed inside `random`, and only after the structured stage
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(checks, "is_reduced", refuse)
+    monkeypatch.setattr(checks, "_element_checks", refuse)
+    (name, value), = setting.items()
+    with pytest.raises(ValueError, match=f"{name} >= {value + 1}"):
+        regularity_probe(QuotientRing(F2, ("x", "y")), SamplerConfig(**setting))
 
 
 @st.composite

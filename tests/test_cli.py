@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffrob import ExponentOverflowError, ParseError, PolyRing, PrimeField, cli, parse_polynomial
+from ffrob.checks import COLON, CheckReport, ProbeReport, SamplerConfig, Witness
 from ffrob.cli import parse_session, run_session
+from ffrob.frobenius import NilradicalResult
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -85,6 +87,38 @@ def test_parse_session_counterexample():
     assert len(spec.ring.quotient_gens) == 4
     assert set(spec.ideals) == {"I", "J"}
     assert len(spec.commands) == 1
+
+
+def test_records_are_immutable_values_with_their_defaults():
+    # the report records are namedtuples: frozen, compared by value, with
+    # the `Name(field=value, ...)` repr
+    ring = parse_session(COUNTEREXAMPLE_SESSION).ring
+    x, y = ring.ambient.variables()[:2]
+    I = ring.ideal([x])
+    witness = Witness(I, y, 1, x, "lhs")
+    records = [
+        witness,
+        CheckReport(COLON, "R", 3, "FAIL", witness),
+        SamplerConfig(seed=2),
+        ProbeReport("NO_WITNESS_FOUND", "R", True, 0, 0),
+        NilradicalResult(I, 0, 1),
+    ]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert record == type(record)(*record) and record == record._replace()
+        assert record != record._replace(**{name: None})
+        assert repr(record).startswith(f"{type(record).__name__}({name}=")
+    assert SamplerConfig() == SamplerConfig(1, 3, 3, 2, 100)
+    assert hash(SamplerConfig(seed=2)) == hash(SamplerConfig(2))
+    assert CheckReport(COLON, "R", 3, "PASS").witness is None
+    assert ProbeReport("NO_WITNESS_FOUND", "R", True, 0, 0).note == ""
+    # each parsed session gets its own command list
+    one, two = parse_session("ring p=2 vars=x\nreduced\n"), parse_session("ring p=2 vars=x\n")
+    assert (len(one.commands), two.commands) == (1, [])
 
 
 def test_parse_session_dual_numbers():

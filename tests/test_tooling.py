@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -269,6 +271,27 @@ def test_one_frobenius_exponent_and_one_intersection_fold():
         "poly.Polynomial.frobenius_power",
     ]
     assert sites("_fold") == ["checks._intersection_family_sides", "checks._principal_sides"]
+
+
+def test_the_cli_starts_without_the_dataclasses_import_chain():
+    # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, which
+    # every `ffor` start-up would pay for; the records are namedtuples
+    imported = [
+        (path.name, node.module if isinstance(node, ast.ImportFrom) else alias.name)
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported
+    assert [(name, module) for name, module in imported if module == "dataclasses"] == []
+    # -S: no site, so nothing is loaded that the package does not load itself
+    script = (
+        f"import sys; sys.path.insert(0, {str(_PACKAGE.parent)!r}); import ffrob.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=30)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 def test_the_time_cap_is_above_every_subprocess_timeout():
