@@ -84,13 +84,8 @@ class CheckReport(namedtuple("CheckReport", (
         return self.outcome == "PASS"
 
     def to_dict(self):
-        d = {
-            "identity": self.identity,
-            "ring": self.ring,
-            "trials": self.trials,
-            "outcome": self.outcome,
-        }
-        if self.witness is not None:
+        d = self._asdict()
+        if d.pop("witness") is not None:
             d["witness"] = self.witness.to_dict()
         return d
 
@@ -260,7 +255,19 @@ def jacobian_regularity_oracle(ring: QuotientRing) -> str:
 class SamplerConfig(namedtuple(
     "SamplerConfig", ("seed", "max_degree", "max_terms", "max_generators", "count"), defaults=(1, 3, 3, 2, 100)
 )):
+    """A trial draws 1..max_generators generators of 1..max_terms terms of degree
+    <= max_degree.  A setting that cannot draw, or a count < 0, raises ValueError."""
+
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, least in (("count", 0), ("max_degree", 0), ("max_terms", 1), ("max_generators", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"the sampler needs {name} >= {least}, got {getattr(self, name)}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _rng(config: SamplerConfig, position: int, tag: str) -> random.Random:
@@ -355,13 +362,8 @@ def regularity_probe(ring: QuotientRing, config: SamplerConfig, e_list=(1,)) -> 
     A FAIL certifies the identity failure outright, and non-regularity
     when the ring is reduced; finding nothing is reported as exactly
     that, never as a regularity proof.  Raises ValueError before any work
-    for an e_list that is empty or holds an e < 1, for a negative count,
-    a sampler setting that cannot draw, or if no check would run."""
-    # a trial draws 1..max_generators generators of 1..max_terms terms from
-    # the monomials of degree <= max_degree
-    for name, least in (("count", 0), ("max_degree", 0), ("max_terms", 1), ("max_generators", 1)):
-        if getattr(config, name) < least:
-            raise ValueError(f"the probe needs {name} >= {least}, got {getattr(config, name)}")
+    for an e_list that is empty or holds an e < 1, or if no check would
+    run; the config has refused its own unusable settings when built."""
     # a huge range is never walked: its least element is one of its ends
     e_list = e_list if isinstance(e_list, range) else tuple(e_list)
     ends = (*e_list[:1], *e_list[-1:]) if isinstance(e_list, range) else e_list

@@ -325,9 +325,6 @@ def elimination_ideal(gens, k: int):
     if not gens:
         return []
     ring = gens[0].ring
-    lift = _packing(MonomialOrder.block(k), k + ring.nvars)
-    # the eliminated block stands in for the first k variables, which stay at 0
-    pad = (0,) * k
-    works = [dict(lift.terms((m[:k] + pad + m[k:], c) for m, c in g.terms)) for g in gens]
-    kept = _eliminated(works, ring.field, lift)
-    return [ring.packing.sort(ring, [(lift.unpack(m)[k:], c) for m, c in g]) for g in kept]
+    lift = _packing(MonomialOrder.block(k), ring.nvars)
+    kept = _eliminated([dict(lift.terms(g.terms)) for g in gens], ring.field, lift)
+    return [ring.packing.sort(ring, [(lift.unpack(m), c) for m, c in g]) for g in kept]

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from operator import add, itemgetter, mul
 
 from .errors import ExponentOverflowError, PoolSizeError, RingMismatchError
@@ -46,24 +47,26 @@ GREVLEX = "grevlex"
 BLOCK = "block"
 
 
-class MonomialOrder:
+class MonomialOrder(namedtuple("MonomialOrder", ("kind", "nblock"))):
     """Total monomial order: lex, grevlex, or block(k) elimination.
 
     block(k) compares the first k exponents lexicographically and breaks
     ties by grevlex on the remaining variables, so it eliminates the
     first k variables.  Its `_Packing` is the one definition of the
-    order; `key` is a thin entry point over it.
+    order; `key` is a thin entry point over it.  An order is an immutable
+    namedtuple, checked also by `_replace`; nblock is 0 but for block(k).
     """
 
-    __slots__ = ("kind", "nblock")
+    __slots__ = ()
 
-    def __init__(self, kind: str, nblock: int = 0):
+    def __new__(cls, kind: str, nblock: int = 0):
         if kind not in (LEX, GREVLEX, BLOCK):
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == BLOCK and nblock < 0:
             raise ValueError("block size must be nonnegative")
-        self.kind = kind
-        self.nblock = nblock if kind == BLOCK else 0
+        return super().__new__(cls, kind, nblock if kind == BLOCK else 0)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def lex(cls):
@@ -83,16 +86,6 @@ class MonomialOrder:
         if exps and max(exps) >= EXP_LIMIT:
             _overflow(exps)
         return -_packing(self, len(exps)).pack(exps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialOrder)
-            and self.kind == other.kind
-            and self.nblock == other.nblock
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.nblock))
 
     def __repr__(self):
         if self.kind == BLOCK:

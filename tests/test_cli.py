@@ -145,6 +145,14 @@ def test_parse_session_dual_numbers():
         ("ring p=2 vars=,\nprobe --count 0\n", "line 1: ring declaration names no variables"),
         ("ring p=2 vars=x,1\nideal I = [1]\ngb I\n", "line 1: variable name '1' is not an identifier"),
         ("ring p=2 vars=2x,y\n", "line 1: variable name '2x' is not an identifier"),
+        ("ring p=2\n", "line 1: malformed ring declaration"),
+        ("# no ring\n", "session contains no ring declaration"),
+        ("ring p=2 vars=x\n\nideal I [x]\n", "line 3: malformed ideal declaration"),
+        ("ring p=2 vars=x\nelem u\n", "line 2: malformed element declaration"),
+        ("ring p=2 vars=x\nprobe --count\n", "line 2: flag --count needs an integer value"),
+        ("ring p=2 vars=x\nreduced x\n", "line 2: reduced takes 0 argument(s), got 1"),
+        ("ring p=2 vars=x\nideal I = [x]\ncheck3 I u\n", "line 3: unknown element 'u'"),
+        ("ring p=2 vars=x\nideal I = [x]\nbracket I two\n", "line 3: expected a nonnegative integer, got 'two'"),
     ],
 )
 def test_parse_session_errors_carry_line_numbers(text, fragment):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ffrob import FFrobError, PolyRing, PrimeField
+from ffrob import FFrobError, MonomialOrder, PolyRing, PrimeField, SamplerConfig
 from ffrob.field import is_prime
 
 
@@ -42,6 +42,25 @@ def test_construction_rejects_bad_characteristic():
     for bad in (0, 1, 4, 9, 15, 2**31):
         with pytest.raises(FFrobError):
             PrimeField(bad)
+
+
+@pytest.mark.parametrize(
+    "build,field,refused,error,fragment",
+    [
+        (lambda: PrimeField(5), "p", 4, FFrobError, "not prime"),
+        (lambda: MonomialOrder.block(2), "nblock", -1, ValueError, "block size must be nonnegative"),
+        (lambda: SamplerConfig(), "max_terms", 0, ValueError, "max_terms >= 1"),
+    ],
+    ids=["PrimeField", "MonomialOrder", "SamplerConfig"],
+)
+def test_value_types_are_immutable_and_checked_on_every_build(build, field, refused, error, fragment):
+    value = build()
+    with pytest.raises(AttributeError):
+        setattr(value, field, refused)
+    assert value == build() and hash(value) == hash(build())
+    # `_replace` goes through the constructor's own checks
+    with pytest.raises(error, match=fragment):
+        value._replace(**{field: refused})
 
 
 def test_is_prime_small_range():

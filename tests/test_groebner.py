@@ -126,6 +126,9 @@ def test_elimination_examples():
     assert elim == [x]
     assert elimination_ideal([x * x], 0) == [x * x]
     assert elimination_ideal([t], 1) == []
+    # k >= n eliminates every variable: only a unit ideal keeps an element
+    assert elimination_ideal([x + ring.one(), x], 5) == [ring.one()]
+    assert elimination_ideal([t * x], 5) == []
 
 
 def test_poly_ideal_intersect_coprime_principal():

@@ -273,6 +273,41 @@ def test_one_frobenius_exponent_and_one_intersection_fold():
     assert sites("_fold") == ["checks._intersection_family_sides", "checks._principal_sides"]
 
 
+def test_values_are_namedtuples_and_checked_ones_check_replace():
+    # a value type is a namedtuple subclass, which compares and hashes by
+    # value; only the four plain classes write their own.  `_replace`
+    # builds through `_make`, which bypasses `__new__` unless the class
+    # routes it back there
+    classes = [
+        node
+        for path in sorted(_PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+    def defines(node, name):
+        return any(
+            isinstance(m, ast.FunctionDef) and m.name == name
+            or isinstance(m, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in m.targets)
+            for m in node.body
+        )
+
+    records = [
+        node
+        for node in classes
+        if any(isinstance(b, ast.Call) and getattr(b.func, "id", None) == "namedtuple" for b in node.bases)
+    ]
+    assert {node.name for node in classes if defines(node, "__eq__") or defines(node, "__hash__")} == {
+        "PolyRing",
+        "Polynomial",
+        "Ideal",
+        "QuotientRing",
+    }
+    checked = [node.name for node in records if defines(node, "__new__")]
+    assert sorted(checked) == ["MonomialOrder", "PrimeField", "SamplerConfig"]
+    assert [node.name for node in records if defines(node, "__new__") and not defines(node, "_make")] == []
+
+
 def test_the_cli_starts_without_the_dataclasses_import_chain():
     # `dataclasses` imports `inspect`, `ast`, `dis` and `tokenize`, which
     # every `ffor` start-up would pay for; the records are namedtuples
